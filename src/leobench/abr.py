@@ -479,15 +479,11 @@ def terminal_traces(n: int, duration_s: int, capacity_base_kbps: float = 4000.0,
     """Spiky sessions derived from the terminal model: capacity dips track
     latency spikes, so consecutive chunks are strongly correlated."""
     from .leolink import LinkProfile
-    from .terminal_sim import TerminalModelConfig, TerminalSim
+    from .terminal_sim import TerminalModelConfig
 
     out = []
     for k in range(n):
         cfg = TerminalModelConfig(rng_seed=seed * 10_000 + k, p_bad_handover=0.10)
-        sim = TerminalSim(cfg)
-        t0 = 1_700_000_000_000
-        samples = [sim.step(t0 + i * 1000) for i in range(duration_s + 2)]
-        profile = LinkProfile.from_telemetry(
-            samples, capacity_base_bps=capacity_base_kbps * 1000.0)
+        profile = LinkProfile.from_terminal(cfg, duration_s, capacity_base_kbps * 1000.0)
         out.append(TputTrace.from_link_profile(profile))
     return out

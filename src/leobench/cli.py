@@ -14,9 +14,11 @@ LEO_ORCHESTRATOR_PORT, LEO_STORE_ROOT, LEO_WORKDIR, LEO_NODES, LEO_CONFIG).
 A path configured explicitly through any of those channels must exist at
 startup; only defaults are created on demand.
 
-Failures print a single machine-readable JSON object on stderr:
-``{"ok": false, "error": {"kind": ..., "message": ...}}``. Exit code 2 is
-reserved for schedule conflicts at submission; everything else exits 1.
+Failures print one JSON object on stderr, ``{"ok": false, "error": {"kind":
+..., "message": ...}}``, built in ``main``. Kinds: BadConfig, BadInput (an
+input file or value the analysis cannot use), MissingFile, Unreachable,
+UnknownExperiment, UncoveredHop, and the orchestrator's kinds passed through
+from its reply. ConflictError at submission exits 2; all others exit 1.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from pathlib import Path
 from . import abr, dissect, leolink, predict
 from .agent import Agent, SimSource, SocketSource, telemetry_service
 from .orbital import GroundSite, load_catalog, synthetic_constellation
-from .orchestrator import Orchestrator, OrchestratorClient
+from .orchestrator import Orchestrator, OrchestratorClient, _error
 from .store import ResultsStore
+from .telemetry import InsufficientHistory
 from .terminal_sim import TelemetrySample, TerminalModelConfig, TerminalSim
 from .triggers import OrbitalContext
 
@@ -51,8 +54,7 @@ class CliError(Exception):
     def __init__(self, kind: str, message: str, code: int = 1, **extra):
         super().__init__(message)
         self.code = code
-        self.payload = {"ok": False,
-                        "error": {"kind": kind, "message": message, **extra}}
+        self.payload = _error(kind, message, **extra)
 
 
 def fail(kind: str, message: str, code: int = 1, **extra):
@@ -406,10 +408,7 @@ def cmd_analyze_segments(args, cfg: CliConfig) -> int:
     if not runs:
         fail("BadInput", f"{args.input}: no traceroute rows")
     segmap = dissect.SegmentMap.from_json(_read_text(args.map, "segment map"))
-    try:
-        segments = dissect.segment_latencies(runs, segmap)
-    except dissect.UncoveredHop as exc:
-        fail("UncoveredHop", str(exc))
+    segments = dissect.segment_latencies(runs, segmap)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["segment", "one_way_ms", "clamped"])
@@ -427,10 +426,7 @@ def cmd_analyze_segments(args, cfg: CliConfig) -> int:
 
 def cmd_analyze_spikes(args, cfg: CliConfig) -> int:
     series = _fill_gaps(dissect.load_ping_csv(_read_text(args.input, "ping CSV")))
-    try:
-        spikes = dissect.detect_spikes(series, args.k_mult, args.min_persist_s)
-    except ValueError as exc:
-        fail("BadInput", str(exc))
+    spikes = dissect.detect_spikes(series, args.k_mult, args.min_persist_s)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["start_s", "duration_s", "nearest_15s_multiple"])
@@ -446,11 +442,7 @@ def cmd_analyze_spikes(args, cfg: CliConfig) -> int:
 
 def cmd_analyze_heatmap(args, cfg: CliConfig) -> int:
     samples = read_telemetry_jsonl(args.input)
-    try:
-        cells = dissect.orientation_heatmap(samples, args.az_bin_deg,
-                                            args.el_bin_deg)
-    except (ValueError, dissect.EmptyInput) as exc:
-        fail("BadInput", str(exc))
+    cells = dissect.orientation_heatmap(samples, args.az_bin_deg, args.el_bin_deg)
     _write_out(args.out, dissect.heatmap_csv(cells))
     emit(args, {"ok": True, "cells": len(cells),
                 "low_confidence": sum(c.low_confidence for c in cells)},
@@ -472,19 +464,13 @@ def _build_dataset(args):
                                        tz=timezone.utc)
         catalog = synthetic_constellation(epoch=epoch)
     orbital = OrbitalContext(_parse_site(args.site), catalog)
-    try:
-        return predict.dataset_from_trace(samples, orbital,
-                                          k=args.top_k, metric=args.metric)
-    except (predict.InsufficientHistory, KeyError, ValueError) as exc:
-        fail("BadInput", f"cannot build dataset: {exc}")
+    return predict.dataset_from_trace(samples, orbital,
+                                      k=args.top_k, metric=args.metric)
 
 
 def cmd_predict_fit(args, cfg: CliConfig) -> int:
     dataset = _build_dataset(args)
-    try:
-        model = predict.fit(args.model_kind, dataset)
-    except ValueError as exc:
-        fail("BadInput", str(exc))
+    model = predict.fit(args.model_kind, dataset)
     predict.save_model(model, args.out)
     emit(args, {"ok": True, "rows": len(dataset),
                 "model_kind": args.model_kind, "model": args.out},
@@ -496,11 +482,8 @@ def cmd_predict_eval(args, cfg: CliConfig) -> int:
     dataset = _build_dataset(args)
     _read_text(args.model, "model file")
     model = predict.load_model(args.model)
-    try:
-        report = predict.evaluate(model, dataset)
-        baseline = predict.evaluate(predict.fit("persistence", dataset), dataset)
-    except predict.ZeroActual as exc:
-        fail("BadInput", str(exc))
+    report = predict.evaluate(model, dataset)
+    baseline = predict.evaluate(predict.fit("persistence", dataset), dataset)
     payload = {"ok": True, "rows": len(dataset),
                "mape_pct": report.mape_pct, "rmse": report.rmse,
                "within5_pct": report.within5_pct,
@@ -521,14 +504,11 @@ def cmd_sweep(args, cfg: CliConfig) -> int:
     alphas = _parse_floats(args.alphas, "--alphas")
     betas = _parse_floats(args.betas, "--betas")
     seeds = _parse_ints(args.seeds, "--seeds")
-    try:
-        result = leolink.sweep(alphas, betas, profiles,
-                               duration_s=args.duration_s, seeds=seeds,
-                               cc_kind=args.cc,
-                               rtt_inflation_limit_pct=args.inflation_limit_pct,
-                               workers=args.workers)
-    except (ValueError, leolink.EmptyGrid) as exc:
-        fail("BadInput", str(exc))
+    result = leolink.sweep(alphas, betas, profiles,
+                           duration_s=args.duration_s, seeds=seeds,
+                           cc_kind=args.cc,
+                           rtt_inflation_limit_pct=args.inflation_limit_pct,
+                           workers=args.workers)
     _write_out(args.out, result.to_csv())
     if result.best is None:
         emit(args, {"ok": True, "best": None},
@@ -554,13 +534,9 @@ def cmd_abr_eval(args, cfg: CliConfig) -> int:
     else:
         traces = abr.terminal_traces(args.synthetic, args.trace_duration_s,
                                      seed=args.seed)
-    try:
-        video = abr.VideoSpec(duration_s=args.video_duration_s,
-                              chunk_s=args.chunk_s)
-        cmp = abr.compare_variants(traces, video, seed=args.seed,
-                                   model_kind=args.model_kind)
-    except ValueError as exc:
-        fail("BadInput", str(exc))
+    video = abr.VideoSpec(duration_s=args.video_duration_s, chunk_s=args.chunk_s)
+    cmp = abr.compare_variants(traces, video, seed=args.seed,
+                               model_kind=args.model_kind)
     medians = {v: cmp.median(v) for v in abr.VARIANTS}
     emit(args, {"ok": True, "sessions": len(next(iter(cmp.qoe.values()))),
                 "median_qoe": medians},
@@ -569,13 +545,9 @@ def cmd_abr_eval(args, cfg: CliConfig) -> int:
 
 
 def cmd_profile_export(args, cfg: CliConfig) -> int:
-    sim = TerminalSim(TerminalModelConfig(rng_seed=args.seed))
-    t0 = 1_700_000_000_000
-    # Two warm-up seconds: counter deltas need a previous sample.
-    samples = [sim.step(t0 + i * 1000) for i in range(args.duration_s + 2)]
-    profile = leolink.LinkProfile.from_telemetry(
-        samples, capacity_base_bps=args.capacity_bps,
-        loss_floor=args.loss_floor)
+    profile = leolink.LinkProfile.from_terminal(
+        TerminalModelConfig(rng_seed=args.seed), args.duration_s,
+        args.capacity_bps, loss_floor=args.loss_floor)
     text = profile.to_csv()
     _write_out(args.out, text)
     rows = max(text.count("\n") - 1, 0)
@@ -738,14 +710,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        return args.func(args, cfg)
+        return args.func(args, load_config(args))
     except CliError as exc:
-        print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)
-        return exc.code
+        err = exc
+    except dissect.UncoveredHop as exc:
+        err = CliError("UncoveredHop", str(exc))
+    except (ValueError, LookupError, InsufficientHistory) as exc:
+        err = CliError("BadInput", f"{type(exc).__name__}: {exc}")
+    print(json.dumps(err.payload, sort_keys=True), file=sys.stderr)
+    return err.code
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dissect import nearest_rank
+from .terminal_sim import TerminalModelConfig, TerminalSim
 
 MSS_BYTES = 1500
 MSS_BITS = MSS_BYTES * 8
@@ -137,6 +138,17 @@ class LinkProfile:
         capacity = capacity_base_bps * np.clip(base / lats, 0.3, 1.0)
         loss = np.clip(np.array([r[2] for r in rows]) + loss_floor, 0.0, 0.1)
         return cls(ts, owd, capacity, loss, buffer_bytes)
+
+    @classmethod
+    def from_terminal(cls, config: TerminalModelConfig, duration_s: int,
+                      capacity_base_bps: float, loss_floor: float = 0.0) -> "LinkProfile":
+        """Profile of a seeded terminal model stepped at 1 Hz. Two warm-up
+        seconds are added: counter deltas need a previous sample."""
+        sim = TerminalSim(config)
+        t0 = 1_700_000_000_000
+        samples = [sim.step(t0 + i * 1000) for i in range(duration_s + 2)]
+        return cls.from_telemetry(samples, capacity_base_bps=capacity_base_bps,
+                                  loss_floor=loss_floor)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -804,12 +816,6 @@ def spiky_lossy_profile(duration_s: int, capacity_bps: float = 8e6,
     """Synthetic challenge profile: latency spikes in 15 s quanta with
     capacity dips, plus a constant non-congestive loss floor (2-5% is the
     regime of interest)."""
-    from .terminal_sim import TerminalModelConfig, TerminalSim
-
     cfg = TerminalModelConfig(rng_seed=seed, p_bad_handover=0.08,
                               base_latency_ms=base_owd_ms * 2)
-    sim = TerminalSim(cfg)
-    t0 = 1_700_000_000_000
-    samples = [sim.step(t0 + k * 1000) for k in range(duration_s + 2)]
-    return LinkProfile.from_telemetry(samples, capacity_base_bps=capacity_bps,
-                                      loss_floor=loss)
+    return LinkProfile.from_terminal(cfg, duration_s, capacity_bps, loss_floor=loss)

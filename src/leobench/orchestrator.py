@@ -11,15 +11,21 @@ until the agent acknowledges its seq in a later heartbeat, so a lost
 response costs one heartbeat interval, never a lost run; agents dedup by
 seq, giving exactly-once execution over an at-least-once channel.
 
-Every mutating call appends a numbered entry to a JSONL log before it is
-applied; a periodic snapshot records the log high-water mark so restart
-replays only the tail. Replaying the whole log from an empty state must
-reconstruct identical tables, and tests hold the API to that.
+A rejected request is answered with ``{"ok": false, "error": {"kind": ...,
+"message": ...}}``, the kind naming the OrchestratorError raised. A line
+that is not JSON, not a JSON object, or lacks a well-formed field gets
+BadMessage.
+
+Every mutating call is validated, then appended as a numbered entry to a
+JSONL log, then applied; a periodic snapshot records the log high-water mark
+so restart replays only the tail. Replaying the whole log from an empty
+state must reconstruct identical tables, and tests hold the API to that.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -40,7 +46,12 @@ DOWN = "DOWN"
 
 
 class OrchestratorError(Exception):
-    pass
+    """A rejection a wire reply names by subclass; `fields` ride along."""
+    fields: dict = {}
+
+
+class BadMessage(OrchestratorError):
+    """Wire message that is not an object or lacks a well-formed field."""
 
 
 class BadSpec(OrchestratorError):
@@ -56,6 +67,7 @@ class ConflictError(OrchestratorError):
 
     def __init__(self, clashing_ids):
         self.clashing_ids = sorted(clashing_ids)
+        self.fields = {"clashing_ids": self.clashing_ids}
         super().__init__(f"conflicts with experiments: {', '.join(self.clashing_ids)}")
 
 
@@ -69,6 +81,10 @@ class UnknownRun(OrchestratorError):
 
 class DuplicateExperiment(OrchestratorError):
     pass
+
+
+# ids become store path components: no separators, no leading dot
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def _check_windows(windows) -> tuple[tuple[int, int], ...]:
@@ -105,8 +121,9 @@ class ExperimentSpec:
     artifact_ref: str | None = None
 
     def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise BadSpec("experiment id must be a non-empty string")
+        for value in (self.id, *self.clients):
+            if not isinstance(value, str) or not _ID_RE.fullmatch(value):
+                raise BadSpec(f"ids must match {_ID_RE.pattern}: {value!r}")
         if self.kind not in EXPERIMENT_KINDS:
             raise BadSpec(f"unknown kind {self.kind!r}")
         if self.overhead not in OVERHEAD_CLASSES:
@@ -148,6 +165,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
+        if not isinstance(obj, dict):
+            raise BadSpec("spec must be an object")
         missing = [k for k in ("id", "kind", "overhead", "clients", "schedule")
                    if k not in obj]
         if missing:
@@ -232,7 +251,7 @@ class Orchestrator:
     # --- submission -------------------------------------------------------
 
     def submit_experiment(self, spec) -> str:
-        if isinstance(spec, dict):
+        if not isinstance(spec, ExperimentSpec):
             spec = ExperimentSpec.from_json(spec)
         with self._lock:
             if spec.id in self._specs:
@@ -294,9 +313,13 @@ class Orchestrator:
                 raise UnknownNode(f"unknown node {node_id!r}")
             if ts_ms is None:
                 ts_ms = self.clock.now_ms()
+            runs = [dict(r) for r in runs]
+            # checked before logging: a logged entry must replay cleanly
+            if not all(isinstance(r.get("experiment_id"), str)
+                       and isinstance(r.get("state"), str) for r in runs):
+                raise BadMessage("run reports need string experiment_id and state")
             entry = {"op": "heartbeat", "node_id": node_id, "ts_ms": int(ts_ms),
-                     "acks": [int(a) for a in acks],
-                     "runs": [dict(r) for r in runs]}
+                     "acks": [int(a) for a in acks], "runs": runs}
             self._append_log(entry)
             self._apply_heartbeat(entry)
             self._maybe_snapshot()
@@ -327,6 +350,8 @@ class Orchestrator:
             rec = self._runs.get((experiment_id, node_id))
             if rec is None:
                 raise UnknownRun(f"no run of {experiment_id!r} on {node_id!r}")
+            if not isinstance(manifest, dict):
+                raise BadMessage("manifest must be an object")
             state = manifest.get("state", "COMPLETED")
             if state not in TERMINAL_STATES:
                 raise BadSpec(f"completion state must be terminal, got {state!r}")
@@ -490,8 +515,11 @@ class Orchestrator:
     # --- wire protocol ----------------------------------------------------
 
     def handle_message(self, msg: dict) -> dict:
-        """Dispatch one decoded wire message; never raises."""
+        """Dispatch one decoded wire message, which may be any JSON value;
+        never raises."""
         try:
+            if not isinstance(msg, dict):
+                raise BadMessage(f"message is a {type(msg).__name__}, not an object")
             mtype = msg.get("type")
             if mtype == "SUBMIT":
                 eid = self.submit_experiment(msg["spec"])
@@ -507,20 +535,9 @@ class Orchestrator:
                 return {"ok": True, **res}
             if mtype == "QUERY":
                 return {"ok": True, "result": self.query(msg.get("experiment_id"))}
-            return _error("BadMessage", f"unknown message type {mtype!r}")
-        except ConflictError as exc:
-            return _error("ConflictError", str(exc),
-                          clashing_ids=exc.clashing_ids)
-        except BadTrigger as exc:
-            return _error("BadTrigger", str(exc))
-        except BadSpec as exc:
-            return _error("BadSpec", str(exc))
-        except UnknownNode as exc:
-            return _error("UnknownNode", str(exc))
-        except UnknownRun as exc:
-            return _error("UnknownRun", str(exc))
-        except DuplicateExperiment as exc:
-            return _error("DuplicateExperiment", str(exc))
+            raise BadMessage(f"unknown message type {mtype!r}")
+        except OrchestratorError as exc:
+            return _error(type(exc).__name__, str(exc), **exc.fields)
         except (KeyError, TypeError, ValueError) as exc:
             return _error("BadMessage", f"{type(exc).__name__}: {exc}")
 

@@ -32,7 +32,10 @@ class ResultsStore:
         self.fault_hook = None
 
     def run_dir(self, experiment_id: str, node_id: str, start_ms: int) -> Path:
-        return self.root / experiment_id / node_id / run_start_label(start_ms)
+        path = self.root / experiment_id / node_id / run_start_label(start_ms)
+        if not path.resolve().is_relative_to(self.root.resolve()):
+            raise ValueError(f"run directory {path} is outside the store root")
+        return path
 
     def upload(self, experiment_id: str, node_id: str, start_ms: int,
                src_dir, manifest: dict) -> Path:

@@ -307,6 +307,46 @@ def test_analyze_missing_input(tmp_path, capsys):
     assert stderr_error(capsys)["kind"] == "MissingFile"
 
 
+def malformed_inputs(tmp_path):
+    """Files each of which one analysis command cannot use."""
+    (tmp_path / "all_lost.csv").write_text("ts_ms,rtt_ms,lost\n0,0,1\n1000,0,1\n")
+    (tmp_path / "no_lost.csv").write_text("ts_ms,rtt_ms\n0,40.0\n1000,41.0\n")
+    (tmp_path / "no_ts.csv").write_text("hop_index,hop_addr,rtt_ms\n1,10.0.0.1,3\n")
+    (tmp_path / "uncovered.csv").write_text(
+        "ts_ms,hop_index,hop_addr,rtt_ms\n0,1,10.0.0.1,3\n0,2,9.9.9.9,5\n")
+    (tmp_path / "map.json").write_text(json.dumps(
+        {"rules": [{"segment": "S1", "hop_index": 1}]}))
+    (tmp_path / "profile.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"format_version": 2, "kind": "persistence"}))
+    write_telemetry_jsonl(tmp_path / "tele.jsonl", n=120)
+    (tmp_path / "traces").mkdir()
+    (tmp_path / "traces" / "t.csv").write_text("ts_ms,kbps\n0,100\n")
+
+
+@pytest.mark.parametrize("argv,kind", [
+    ("analyze cdf --input all_lost.csv", "BadInput"),
+    ("analyze cdf --input no_lost.csv", "BadInput"),
+    ("analyze spikes --input no_lost.csv", "BadInput"),
+    ("analyze segments --input no_ts.csv --map map.json", "BadInput"),
+    ("analyze segments --input uncovered.csv --map map.json", "UncoveredHop"),
+    ("sweep --profile profile.csv", "BadInput"),
+    ("predict eval --trace tele.jsonl --model model.json", "BadInput"),
+    ("abr-eval --traces traces", "BadInput"),
+])
+def test_malformed_input_gives_one_json_error_line(tmp_path, capsys,
+                                                   monkeypatch, argv, kind):
+    malformed_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    reply = json.loads(lines[0])
+    assert reply["ok"] is False and reply["error"]["kind"] == kind
+
+
 # --- prediction ----------------------------------------------------------
 
 def test_predict_fit_then_eval(tmp_path, capsys):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from leobench.clocks import SimClock
-from leobench.orchestrator import (BadSpec, BadTrigger, ConflictError,
-                                   DuplicateExperiment, ExperimentSpec,
-                                   LocalClient, Orchestrator,
-                                   OrchestratorClient, UnknownNode, UnknownRun,
-                                   windows_overlap)
+from leobench.orchestrator import (BadMessage, BadSpec, BadTrigger,
+                                   ConflictError, DuplicateExperiment,
+                                   ExperimentSpec, LocalClient, Orchestrator,
+                                   OrchestratorClient, OrchestratorError,
+                                   UnknownNode, UnknownRun, windows_overlap)
 
 NODES = ["n1", "n2", "n3"]
 
@@ -51,6 +51,15 @@ def test_spec_field_validation():
         make_spec("x", windows=((60, 60),))
     with pytest.raises(BadSpec):
         make_spec("", nodes=("n1",))
+
+
+@pytest.mark.parametrize("eid,nodes", [
+    ("../../escape", ("n1",)), (".hidden", ("n1",)), ("a/b", ("n1",)),
+    ("ok", ("../n1",)), ("ok", ("n1", "n 2")),
+])
+def test_spec_rejects_ids_that_are_not_path_safe(eid, nodes):
+    with pytest.raises(BadSpec):
+        make_spec(eid, nodes=nodes)
 
 
 def test_bad_trigger_rejected_at_parse():
@@ -248,6 +257,29 @@ def test_heartbeat_run_report_marks_running():
     assert orch.query("a")["runs"][0]["state"] == "COMPLETED"
 
 
+@pytest.mark.parametrize("runs", [
+    [{"experiment_id": ["x"], "state": "RUNNING"}],
+    [{"experiment_id": "a", "state": 1}],
+    [{"experiment_id": "a", "state": "RUNNING"}, {"state": "RUNNING"}],
+])
+def test_malformed_heartbeat_never_reaches_the_log(tmp_path, runs):
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    orch.submit_experiment(make_spec("a"))
+    before = log.read_bytes()
+    with pytest.raises(BadMessage):
+        orch.heartbeat("n1", ts_ms=5, runs=runs)
+    resp = orch.handle_message({"type": "HEARTBEAT", "node_id": "n1",
+                                "ts_ms": 5, "runs": runs})
+    assert resp["error"]["kind"] == "BadMessage"
+    assert log.read_bytes() == before
+    want = orch.to_state()
+    orch.close()
+    restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
+    assert restored.to_state() == want
+    restored.close()
+
+
 def test_node_health_thresholds():
     clock = SimClock(0)
     orch = Orchestrator(NODES, clock=clock, heartbeat_interval_s=10)
@@ -383,6 +415,36 @@ def test_handle_message_unknown_type_and_garbage():
     assert orch.handle_message({"type": "REGISTER"})["error"]["kind"] == "BadMessage"
     assert orch.handle_message({})["error"]["kind"] == "BadMessage"
     assert orch.handle_message({"type": "SUBMIT"})["error"]["kind"] == "BadMessage"
+    for msg in ([1], "x", 1, None, True, 2.5):
+        assert orch.handle_message(msg)["error"]["kind"] == "BadMessage"
+    orch.submit_experiment(make_spec("a"))
+    for msg in ({"type": "COMPLETE", "experiment_id": "a", "node_id": "n1",
+                 "manifest": [1]},
+                {"type": "HEARTBEAT", "node_id": "n1", "runs": [["x"]]}):
+        assert orch.handle_message(msg)["error"]["kind"] == "BadMessage"
+    assert orch.handle_message({"type": "SUBMIT", "spec": [1]})["error"]["kind"] \
+        == "BadSpec"
+
+
+WIRE_ERRORS = [BadMessage("m"), BadSpec("m"), BadTrigger("m"),
+               ConflictError(["b", "a"]), UnknownNode("m"), UnknownRun("m"),
+               DuplicateExperiment("m")]
+
+
+@pytest.mark.parametrize("exc", WIRE_ERRORS, ids=lambda e: type(e).__name__)
+def test_every_orchestrator_error_maps_to_its_class_name(exc, monkeypatch):
+    assert {type(e) for e in WIRE_ERRORS} == set(OrchestratorError.__subclasses__())
+    orch = make_orch()
+
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(orch, "query", raise_it)
+    error = orch.handle_message({"type": "QUERY"})["error"]
+    assert error["kind"] == type(exc).__name__
+    assert error["message"] == str(exc)
+    if isinstance(exc, ConflictError):
+        assert error["clashing_ids"] == ["a", "b"]
 
 
 def test_handle_message_complete_and_query():
@@ -429,9 +491,15 @@ def test_tcp_server_rejects_bad_json():
         port = srv.getsockname()[1]
         with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
             fh = conn.makefile("rw", encoding="utf-8")
-            fh.write("this is not json\n")
-            fh.flush()
-            resp = json.loads(fh.readline())
-        assert resp["error"]["kind"] == "BadMessage"
+            # a bad line is answered and the same connection keeps serving
+            for line in ("this is not json", "[1]", '"x"', "1", "null",
+                         '{"type": "QUERY"}'):
+                fh.write(line + "\n")
+                fh.flush()
+                resp = json.loads(fh.readline())
+                if line.startswith("{"):
+                    assert resp == {"ok": True, "result": []}
+                else:
+                    assert resp["error"]["kind"] == "BadMessage"
     finally:
         srv.close()

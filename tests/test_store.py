@@ -17,6 +17,13 @@ def test_run_dir_layout(tmp_path):
     assert d == tmp_path / "root" / "exp-a" / "node-1" / "20210601T123456Z"
 
 
+@pytest.mark.parametrize("eid,nid", [("../../escape", "n1"), ("e", "../..")])
+def test_run_dir_refuses_paths_outside_root(tmp_path, eid, nid):
+    store = ResultsStore(tmp_path / "root")
+    with pytest.raises(ValueError):
+        store.run_dir(eid, nid, 0)
+
+
 def test_upload_copies_files_and_writes_manifest_last(tmp_path):
     store = ResultsStore(tmp_path / "root")
     src = tmp_path / "run"
