@@ -1,9 +1,13 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobench.leolink import (
     DEFAULT_ALPHA_MS,
@@ -293,3 +297,70 @@ def test_shared_bottleneck_total_stays_within_capacity():
                         axis=0)
     assert np.all(per_second <= 12e6 + 3 * MSS_BITS)
     assert np.mean(per_second[5:]) >= 0.7 * 12e6
+
+
+def _jumpy_delay_profile(duration_s: int) -> LinkProfile:
+    """One-way delay alternating 40 ms / 10 ms each second: after a drop,
+    later packets overtake earlier ones and gap-rule marks turn spurious."""
+    n = duration_s + 1
+    return LinkProfile(np.arange(n) * 1000.0,
+                       np.where(np.arange(n) % 2 == 0, 40.0, 10.0),
+                       np.full(n, 8e6), np.full(n, 0.02))
+
+
+# sha256 of repr() of every FlowStats field (per-second rows, probe-RTT log,
+# packet counts) of every flow; repr round-trips floats, so any change in
+# any bit of the output changes the digest
+GOLDEN_CASES = {
+    "bbr2_spiky_lossy": (
+        lambda: ([("bbr2", CcParams(4000.0, 0.08))],
+                 spiky_lossy_profile(10, capacity_bps=6e6, loss=0.05, seed=5), 3),
+        "38296f513106bee6ddad6e56c8eacc918ba5ac12d9a141dc98fdd99e5c0b4725"),
+    "cubic_lossy": (
+        lambda: ([("cubic", None)], LinkProfile.constant(20.0, 8e6, 0.03, 10), 4),
+        "77314ff71de5a56d31412888e266214e44472343fb7acf78f750324be9e6983b"),
+    "reno_lossy": (
+        lambda: ([("reno", None)], LinkProfile.constant(20.0, 8e6, 0.03, 10), 4),
+        "3ce81320d5225b0198f2e44de04c9acb2ff5355ff23f2be767501928a6cefdff"),
+    # 10% loss on 2 Mbps stalls progress long enough for the RTO tick to fire
+    "cubic_heavy_loss": (
+        lambda: ([("cubic", None)], LinkProfile.constant(20.0, 2e6, 0.1, 10), 4),
+        "3902e53c78a78ccc9b5b56ef26be43443e6dfe4ca18f19416075e40700a032ce"),
+    "reno_heavy_loss": (
+        lambda: ([("reno", None)], LinkProfile.constant(20.0, 2e6, 0.1, 10), 4),
+        "ffb07b38d3b4abd161769e0b73528a40034b579b4650c94249d4bc10fc338403"),
+    "cubic4_bbr4_shared": (
+        lambda: ([("cubic", None)] * 4 + [("bbr2", CcParams())] * 4,
+                 LinkProfile.constant(20.0, 12e6, 0.0, 10), 6),
+        "bc0c05c0365780c2c24a55b9e621c2b03c600edfe28aa6cb4d07e26635312ad8"),
+    "bbr2_cubic_spurious_gap_marks": (
+        lambda: ([("bbr2", CcParams(4000.0, 0.08)), ("cubic", None)],
+                 _jumpy_delay_profile(10), 3),
+        "87f105cf6c3897e6232601992ae5e46def59c81da436ff0d4fad3d264b26885a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_run_flows_golden_digest(case):
+    make, expected = GOLDEN_CASES[case]
+    specs, prof, seed = make()
+    stats = run_flows(specs, prof, 10, seed)
+    fields = repr([dataclasses.astuple(s) for s in stats])
+    assert hashlib.sha256(fields.encode()).hexdigest() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3),
+                          st.sampled_from([1e5, 2e6, 2e6, 3.5e6, 8e6, 8e6, 1.2e7])),
+                min_size=1, max_size=120))
+def test_bw_filter_is_windowed_max(steps):
+    """btl_bw is the max over the samples of the last BW_FILTER_ROUNDS
+    rounds, whatever the order and repeats of the samples."""
+    cc = Bbr2Lite(CcParams())
+    seen = []
+    for advance, bw in steps:
+        cc._round += advance
+        cc._update_bw(bw)
+        seen.append((cc._round, bw))
+        cutoff = cc._round - Bbr2Lite.BW_FILTER_ROUNDS
+        assert cc.btl_bw == max(b for r, b in seen if r > cutoff)
