@@ -102,12 +102,17 @@ class SegmentMap:
     @classmethod
     def from_json(cls, text: str) -> "SegmentMap":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("segment map must be a JSON object")
+        rules = obj["rules"]
+        if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
+            raise ValueError("segment map rules must be a list of objects")
         return cls([SegmentRule(
             segment=r["segment"],
             hop_index=r.get("hop_index"),
             prefix=r.get("prefix"),
             asn=r.get("asn"),
-        ) for r in obj["rules"]])
+        ) for r in rules])
 
     def segment_for(self, hop_index: int, addr: str | None = None,
                     asn: int | None = None) -> str:

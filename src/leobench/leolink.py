@@ -19,6 +19,16 @@ packet is serialized, then vanishes); tail drops do not. Goodput is counted
 at bottleneck egress, so per-second goodput can never exceed capacity by
 more than one packet. Sequence-gap loss marks are corrected if a straggler
 acknowledgment later proves delivery, keeping packet conservation exact.
+
+The event loop's fast paths rely on three invariants:
+
+  * a flow's in-flight dict is kept in send order: keys are inserted in
+    increasing sequence number and a removed key never comes back, so its
+    first entry is both the lowest sequence number and the oldest send;
+  * simulated time never goes backwards: every event is scheduled at or
+    after the event that schedules it;
+  * a LinkProfile's columns are read-only after construction, so the
+    plain-float copies that `LinkProfile.at` searches stay in step with them.
 """
 
 from __future__ import annotations
@@ -27,7 +37,10 @@ import csv
 import heapq
 import io
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import deque
+from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -91,6 +104,11 @@ class LinkProfile:
             bdp_bits = float(self.capacity_bps.mean()) * 2.0 * float(self.owd_ms.mean()) / 1000.0
             buffer_bytes = max(int(bdp_bits / 8), 8 * MSS_BYTES)
         self.buffer_bytes = int(buffer_bytes)
+        # plain-float copies for at(), which runs once or twice per packet
+        self._ts = self.ts_ms.tolist()
+        self._rows = list(zip(self.owd_ms.tolist(), self.capacity_bps.tolist(),
+                              self.loss_prob.tolist()))
+        self._end_ms = self._ts[-1] + 1000.0
 
     def __len__(self) -> int:
         return len(self.ts_ms)
@@ -101,11 +119,9 @@ class LinkProfile:
 
     def at(self, t_ms: float) -> tuple[float, float, float]:
         """(owd_ms, capacity_bps, loss_prob) in effect at t."""
-        if t_ms > self.ts_ms[-1] + 1000.0:
+        if t_ms > self._end_ms:
             raise ProfileExhausted(f"t={t_ms:.0f} ms beyond profile end {self.ts_ms[-1]:.0f}")
-        i = int(np.searchsorted(self.ts_ms, t_ms, side="right")) - 1
-        i = max(i, 0)
-        return float(self.owd_ms[i]), float(self.capacity_bps[i]), float(self.loss_prob[i])
+        return self._rows[max(bisect_right(self._ts, t_ms) - 1, 0)]
 
     @classmethod
     def constant(cls, owd_ms: float, capacity_bps: float, loss_prob: float,
@@ -172,7 +188,12 @@ class LinkProfile:
 
 # --- congestion controllers ----------------------------------------------
 
-@dataclass
+def _smoothed_rtt(srtt_ms: float, rtt_ms: float) -> float:
+    """RFC 6298-style EWMA; a zero srtt means no sample yet."""
+    return rtt_ms if srtt_ms == 0 else 0.875 * srtt_ms + 0.125 * rtt_ms
+
+
+@dataclass(slots=True)
 class AckInfo:
     now_ms: float
     rtt_ms: float
@@ -185,7 +206,9 @@ class AckInfo:
 
 class BaseCc:
     """Interface the event loop drives. Implementations keep their own
-    state machines and expose pacing rate and window limits."""
+    state machines and expose pacing rate, window limits and srtt."""
+
+    srtt_ms: float   # smoothed RTT; 0 means no sample yet
 
     def on_ack(self, info: AckInfo) -> None:
         raise NotImplementedError
@@ -220,7 +243,9 @@ class Bbr2Lite(BaseCc):
         self.params = params
         self.mode = self.STARTUP
         self.btl_bw = 0.0
-        self._bw_samples: list[tuple[int, float]] = []  # (round, bw)
+        # (round, bw) with bw strictly decreasing front to back: the front is
+        # the max over the last BW_FILTER_ROUNDS rounds
+        self._bw_samples: deque[tuple[int, float]] = deque()
         self._round = 0
         self.min_rtt_ms = math.inf
         self.srtt_ms = 0.0
@@ -238,10 +263,17 @@ class Bbr2Lite(BaseCc):
         self.probe_rtt_entries: list[tuple[float, float]] = []  # (t, srtt)
 
     def _update_bw(self, bw: float) -> None:
-        self._bw_samples.append((self._round, bw))
+        """Exact windowed max (a monotonic deque, the idiom of Linux
+        lib/win_minmax.c without its 3-sample approximation). An older
+        sample no larger than a newer one can never be the max again."""
+        samples = self._bw_samples
+        while samples and samples[-1][1] <= bw:
+            samples.pop()
+        samples.append((self._round, bw))
         cutoff = self._round - self.BW_FILTER_ROUNDS
-        self._bw_samples = [(r, b) for r, b in self._bw_samples if r > cutoff]
-        self.btl_bw = max(b for _, b in self._bw_samples)
+        while samples[0][0] <= cutoff:
+            samples.popleft()
+        self.btl_bw = samples[0][1]
 
     def _bdp_bytes(self) -> float:
         if self.btl_bw <= 0 or not math.isfinite(self.min_rtt_ms):
@@ -251,8 +283,7 @@ class Bbr2Lite(BaseCc):
     def on_ack(self, info: AckInfo) -> None:
         now = info.now_ms
         self.min_rtt_ms = min(self.min_rtt_ms, info.rtt_ms)
-        self.srtt_ms = info.rtt_ms if self.srtt_ms == 0 else \
-            0.875 * self.srtt_ms + 0.125 * info.rtt_ms
+        self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
         if info.bw_sample_bps > 0:
             self._update_bw(info.bw_sample_bps)
         if self._probe_rtt_due_ms is None:
@@ -354,8 +385,7 @@ class CubicLite(BaseCc):
         self._last_cut_ms = -1e12
 
     def on_ack(self, info: AckInfo) -> None:
-        self.srtt_ms = info.rtt_ms if self.srtt_ms == 0 else \
-            0.875 * self.srtt_ms + 0.125 * info.rtt_ms
+        self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
         if self.cwnd_seg < self.ssthresh_seg:
             self.cwnd_seg += 1.0
             return
@@ -389,12 +419,8 @@ class CubicLite(BaseCc):
 
 
 class RenoLite(CubicLite):
-    def __init__(self, params: CcParams | None = None):
-        super().__init__(params)
-
     def on_ack(self, info: AckInfo) -> None:
-        self.srtt_ms = info.rtt_ms if self.srtt_ms == 0 else \
-            0.875 * self.srtt_ms + 0.125 * info.rtt_ms
+        self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
         if self.cwnd_seg < self.ssthresh_seg:
             self.cwnd_seg += 1.0
         else:
@@ -456,21 +482,14 @@ class FlowStats:
 
 # --- event-loop simulator ------------------------------------------------
 
-@dataclass
-class _Packet:
-    seq: int
-    sent_ms: float
-    delivered_at_send: int
-    delivered_time_ms: float
-
-
 class _FlowState:
     def __init__(self, flow_id: int, cc: BaseCc, kind: str):
         self.id = flow_id
         self.cc = cc
         self.kind = kind
         self.next_seq = 0
-        self.inflight: dict[int, _Packet] = {}
+        # seq -> (sent_ms, delivered_at_send, delivered_time_ms), in send order
+        self.inflight: dict[int, tuple[float, int, float]] = {}
         self.inflight_bytes = 0
         self.delivered_bytes = 0
         self.delivered_time_ms = 0.0
@@ -502,13 +521,14 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
     flows = [_FlowState(i, make_cc(kind, params), kind)
              for i, (kind, params) in enumerate(flow_specs)]
 
-    heap: list[tuple[float, int, str, int, int]] = []
-    counter = 0
+    # the hot loop reads these once per event
+    heappush, heappop = heapq.heappush, heapq.heappop
+    profile_at = profile.at
+    random = rng.random
+    buffer_bytes = profile.buffer_bytes
 
-    def push(t: float, kind: str, flow_id: int, seq: int = -1):
-        nonlocal counter
-        heapq.heappush(heap, (t, counter, kind, flow_id, seq))
-        counter += 1
+    heap: list[tuple[float, int, str, int, int]] = []
+    counter = count()   # tie-break: equal times pop in push order
 
     busy_until = 0.0
 
@@ -519,11 +539,10 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             return
         t = max(now, f.next_send_ms)
         f.send_scheduled = True
-        push(t, "send", f.id)
+        heappush(heap, (t, next(counter), "send", f.id, -1))
 
     def mark_lost(f: _FlowState, seq: int, now: float):
-        pkt = f.inflight.pop(seq, None)
-        if pkt is None:
+        if f.inflight.pop(seq, None) is None:
             return
         f.inflight_bytes -= MSS_BYTES
         f.marked_lost.add(seq)
@@ -532,12 +551,12 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
         f.cc.on_loss(now, MSS_BYTES)
 
     for f in flows:
-        push(0.0, "send", f.id)
+        heappush(heap, (0.0, next(counter), "send", f.id, -1))
         f.send_scheduled = True
-        push(250.0, "tick", f.id)
+        heappush(heap, (250.0, next(counter), "tick", f.id, -1))
 
     while heap:
-        now, _, kind, flow_id, seq = heapq.heappop(heap)
+        now, _, kind, flow_id, seq = heappop(heap)
         if now >= duration_ms:
             break
         f = flows[flow_id]
@@ -546,16 +565,15 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             f.send_scheduled = False
             if f.inflight_bytes + MSS_BYTES > f.cc.window_bytes(now):
                 continue
-            owd, cap, loss_p = profile.at(now)
+            owd, cap, loss_p = profile_at(now)
             # droptail check against the shared queue
             queue_bytes = max(0.0, busy_until - now) / 1000.0 * cap / 8.0
             seq_no = f.next_seq
             f.next_seq += 1
             f.injected += 1
-            f.inflight[seq_no] = _Packet(seq_no, now, f.delivered_bytes,
-                                         f.delivered_time_ms or now)
+            f.inflight[seq_no] = (now, f.delivered_bytes, f.delivered_time_ms or now)
             f.inflight_bytes += MSS_BYTES
-            if queue_bytes + MSS_BYTES > profile.buffer_bytes:
+            if queue_bytes + MSS_BYTES > buffer_bytes:
                 f.dropped_pkts += 1
                 f.inflight.pop(seq_no)
                 f.inflight_bytes -= MSS_BYTES
@@ -565,43 +583,43 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 f.cc.on_loss(now, MSS_BYTES)
             else:
                 start = max(busy_until, now)
-                _, cap_srv, _ = profile.at(start)  # serialize at service-time rate
+                _, cap_srv, _ = profile_at(start)  # serialize at service-time rate
                 deq_t = start + MSS_BITS / cap_srv * 1000.0
                 busy_until = deq_t
-                if rng.random() < loss_p:
+                if random() < loss_p:
                     # random loss at dequeue: capacity consumed, packet gone;
                     # the sender finds the hole via the gap rule or RTO tick
                     f.dropped_pkts += 1
                 else:
                     f.deliveries.append((deq_t, MSS_BYTES))
-                    push(deq_t + 2.0 * owd, "ack", f.id, seq_no)
+                    heappush(heap, (deq_t + 2.0 * owd, next(counter), "ack", flow_id, seq_no))
             rate = f.cc.pacing_rate_bps(now)
             f.next_send_ms = max(f.next_send_ms, now) + MSS_BITS / rate * 1000.0
             try_schedule_send(f, now)
 
         elif kind == "ack":
-            spurious = seq in f.marked_lost
-            pkt = f.inflight.pop(seq, None)
-            if pkt is None and not spurious:
-                continue
-            if spurious:
-                # gap rule fired early (delay reordering); take the credit back
-                f.marked_lost.discard(seq)
-                f.round_lost = max(0, f.round_lost - 1)
-                if pkt is None:
+            inflight = f.inflight
+            pkt = inflight.pop(seq, None)
+            if pkt is None:
+                # the gap rule or the RTO tick took it out of flight first
+                if seq in f.marked_lost:
+                    # gap rule fired early (delay reordering); take the credit back
+                    f.marked_lost.discard(seq)
+                    f.round_lost = max(0, f.round_lost - 1)
                     f.delivered_pkts += 1
-                    continue
+                continue
+            sent_ms, delivered_at_send, delivered_time_ms = pkt
             f.inflight_bytes -= MSS_BYTES
             f.delivered_pkts += 1
             f.delivered_bytes += MSS_BYTES
             f.delivered_time_ms = now
             f.last_progress_ms = now
-            rtt = now - pkt.sent_ms
+            rtt = now - sent_ms
             f.rtt_samples.append((now, rtt))
-            dt = now - pkt.delivered_time_ms
-            bw_sample = ((f.delivered_bytes - pkt.delivered_at_send) * 8.0
+            dt = now - delivered_time_ms
+            bw_sample = ((f.delivered_bytes - delivered_at_send) * 8.0
                          / (dt / 1000.0)) if dt > 0 else 0.0
-            round_end = pkt.delivered_at_send >= f.round_start_delivered
+            round_end = delivered_at_send >= f.round_start_delivered
             f.round_acked += 1
             round_acked = round_lost = 0
             if round_end:
@@ -609,26 +627,28 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 f.round_start_delivered = f.delivered_bytes
                 f.round_acked = 0
                 f.round_lost = 0
-            # sequence-gap loss detection ahead of this ack
-            stale = [s for s in f.inflight if s < seq - REORDER_THRESH]
-            for s in sorted(stale):
+            # sequence-gap loss detection ahead of this ack: in-flight keys
+            # run in increasing seq, so the stale ones (s < limit) are a prefix
+            limit = seq - REORDER_THRESH
+            for s in list(takewhile(limit.__gt__, inflight)):
                 mark_lost(f, s, now)
             f.cc.on_ack(AckInfo(now, rtt, bw_sample, round_end, round_acked,
                                 round_lost, f.inflight_bytes))
             try_schedule_send(f, now)
 
         elif kind == "tick":
-            srtt = getattr(f.cc, "srtt_ms", 100.0) or 100.0
+            srtt = f.cc.srtt_ms or 100.0
             rto = max(4.0 * srtt, 1000.0)
-            if f.inflight and now - max(f.last_progress_ms,
-                                        min(p.sent_ms for p in f.inflight.values())) > rto:
-                oldest = min(f.inflight)
-                mark_lost(f, oldest, now)
-                f.last_progress_ms = now
-                try_schedule_send(f, now)
+            if f.inflight:
+                # the first in-flight entry is the lowest seq and the oldest send
+                oldest, (oldest_sent_ms, _, _) = next(iter(f.inflight.items()))
+                if now - max(f.last_progress_ms, oldest_sent_ms) > rto:
+                    mark_lost(f, oldest, now)
+                    f.last_progress_ms = now
+                    try_schedule_send(f, now)
             if not f.send_scheduled:
                 try_schedule_send(f, now)
-            push(now + 250.0, "tick", f.id)
+            heappush(heap, (now + 250.0, next(counter), "tick", flow_id, -1))
 
     return [_finalize(f, duration_s) for f in flows]
 

@@ -475,6 +475,8 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     with open(path) as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise ValueError(f"model file holds a JSON {type(obj).__name__}, not an object")
     version = obj.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")

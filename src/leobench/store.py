@@ -31,11 +31,16 @@ class ResultsStore:
         # tests can set this to a callable that raises to simulate outages
         self.fault_hook = None
 
-    def run_dir(self, experiment_id: str, node_id: str, start_ms: int) -> Path:
-        path = self.root / experiment_id / node_id / run_start_label(start_ms)
+    def _experiment_dir(self, experiment_id: str, *parts: str) -> Path:
+        """root/experiment_id/parts...; ids are untrusted, so a path that
+        resolves outside the root raises ValueError."""
+        path = self.root.joinpath(experiment_id, *parts)
         if not path.resolve().is_relative_to(self.root.resolve()):
-            raise ValueError(f"run directory {path} is outside the store root")
+            raise ValueError(f"{path} is outside the store root")
         return path
+
+    def run_dir(self, experiment_id: str, node_id: str, start_ms: int) -> Path:
+        return self._experiment_dir(experiment_id, node_id, run_start_label(start_ms))
 
     def upload(self, experiment_id: str, node_id: str, start_ms: int,
                src_dir, manifest: dict) -> Path:
@@ -63,7 +68,7 @@ class ResultsStore:
 
     def list_runs(self, experiment_id: str) -> list[tuple[str, str, Path]]:
         """(node_id, run_start_label, path) for every stored run."""
-        base = self.root / experiment_id
+        base = self._experiment_dir(experiment_id)
         out = []
         if not base.is_dir():
             return out
@@ -77,7 +82,7 @@ class ResultsStore:
 
     def fetch(self, experiment_id: str, dest) -> Path:
         """Mirror an experiment's subtree to a local directory."""
-        src = self.root / experiment_id
+        src = self._experiment_dir(experiment_id)
         if not src.is_dir():
             raise FileNotFoundError(f"no results for {experiment_id!r}")
         dest = Path(dest) / experiment_id

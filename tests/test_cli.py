@@ -319,6 +319,11 @@ def malformed_inputs(tmp_path):
     (tmp_path / "profile.csv").write_text("a,b\n1,2\n")
     (tmp_path / "model.json").write_text(json.dumps(
         {"format_version": 2, "kind": "persistence"}))
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "rule_list.json").write_text(json.dumps({"rules": [1]}))
+    (tmp_path / "store").mkdir()
+    (tmp_path / "secret" / "n1").mkdir(parents=True)   # beside the store
+    (tmp_path / "secret" / "n1" / "key.txt").write_text("x")
     write_telemetry_jsonl(tmp_path / "tele.jsonl", n=120)
     (tmp_path / "traces").mkdir()
     (tmp_path / "traces" / "t.csv").write_text("ts_ms,kbps\n0,100\n")
@@ -332,6 +337,11 @@ def malformed_inputs(tmp_path):
     ("analyze segments --input uncovered.csv --map map.json", "UncoveredHop"),
     ("sweep --profile profile.csv", "BadInput"),
     ("predict eval --trace tele.jsonl --model model.json", "BadInput"),
+    ("predict eval --trace tele.jsonl --model list.json", "BadInput"),
+    ("analyze segments --input uncovered.csv --map list.json", "BadInput"),
+    ("analyze segments --input uncovered.csv --map rule_list.json", "BadInput"),
+    ("results fetch ../secret --store-root store --dest dest", "BadInput"),
+    ("results list ../secret --store-root store", "BadInput"),
     ("abr-eval --traces traces", "BadInput"),
 ])
 def test_malformed_input_gives_one_json_error_line(tmp_path, capsys,

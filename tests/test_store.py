@@ -24,6 +24,21 @@ def test_run_dir_refuses_paths_outside_root(tmp_path, eid, nid):
         store.run_dir(eid, nid, 0)
 
 
+@pytest.mark.parametrize("call", ["list_runs", "fetch"])
+def test_experiment_lookups_refuse_paths_outside_root(tmp_path, call):
+    store = ResultsStore(tmp_path / "root")
+    secret = tmp_path / "secret"
+    (secret / "n1" / "20210601T123456Z").mkdir(parents=True)
+    (secret / "n1" / "20210601T123456Z" / "key.txt").write_text("x")
+    dest = tmp_path / "dest"
+    with pytest.raises(ValueError):
+        if call == "list_runs":
+            store.list_runs("../secret")
+        else:
+            store.fetch("../secret", dest)
+    assert not dest.exists()
+
+
 def test_upload_copies_files_and_writes_manifest_last(tmp_path):
     store = ResultsStore(tmp_path / "root")
     src = tmp_path / "run"
