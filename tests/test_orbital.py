@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -271,3 +273,39 @@ def test_constellation_keeps_midlatitude_sites_covered():
 def test_visible_sats_rejects_bad_mask():
     with pytest.raises(ValueError):
         visible_sats(GroundSite(0, 0), [], datetime(2026, 1, 10, tzinfo=timezone.utc), mask_deg=90.0)
+
+
+def _two_epoch_catalog():
+    """Planes 0-10 from one epoch and planes 11-21 from an epoch 36 hours
+    later, with the later planes' anomalies phased to stay interleaved."""
+    early = synthetic_constellation(epoch=datetime(2026, 1, 1, tzinfo=timezone.utc))
+    late = synthetic_constellation(epoch=datetime(2026, 1, 2, 12, tzinfo=timezone.utc),
+                                   phase_offset_deg=7.0)
+    return early[:220] + late[220:]
+
+
+def _visible_digest(site, catalog, start, step_s=97.0, count=50):
+    rows = [[dataclasses.astuple(v) for v in
+             visible_sats(site, catalog, start + timedelta(seconds=i * step_s))]
+            for i in range(count)]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of repr() of every (sat_id, az, el, range) tuple at 50 instants;
+# repr round-trips floats, so any change in any bit of the geometry shows
+GOLDEN_VISIBLE = {
+    "shell_seattle": (
+        lambda: _visible_digest(GroundSite(47.6, -122.3), synthetic_constellation(),
+                                datetime(2026, 1, 1, 0, 7, tzinfo=timezone.utc)),
+        "0ca758ae416ca5ec78dbfd2b6294b108fe893c7e089368b44a8af107d5e06017"),
+    "two_epochs_quito": (
+        lambda: _visible_digest(GroundSite(-0.2, -78.5, 2850.0), _two_epoch_catalog(),
+                                datetime(2026, 1, 2, 3, 0, tzinfo=timezone.utc)),
+        "9378093fd7833aedabf72f1f20914481b68015747f6a3164a2bdd4e7c327b2f1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VISIBLE))
+def test_visible_sats_golden_digest(case):
+    make, expected = GOLDEN_VISIBLE[case]
+    assert make() == expected

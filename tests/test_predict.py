@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from datetime import datetime, timezone
 
@@ -344,3 +346,71 @@ def test_ridge_ar_beats_persistence_on_sim_trace():
     pers_rep = evaluate(fit("persistence", train), test)
     assert ridge_rep.mape_pct <= 10.0
     assert ridge_rep.mape_pct < pers_rep.mape_pct
+
+
+# --- golden digests ------------------------------------------------------
+
+def _sim_dataset(seconds=300, seed=21):
+    sim = TerminalSim(TerminalModelConfig(rng_seed=seed))
+    samples = [sim.step(T0 + k * 1000) for k in range(seconds)]
+    return dataset_from_trace(samples, OrbitalContext(sim.site, sim.catalog))
+
+
+def _ties_dataset():
+    """Constant columns, few distinct values per column, and column 4 an
+    exact copy of column 1, so gains tie across features."""
+    rng = np.random.default_rng(31)
+    n = 240
+    X = rng.integers(0, 6, size=(n, 6)).astype(float)
+    X[:, 2] = 7.0
+    X[:, 4] = X[:, 1]
+    X[:, 5] = np.round(rng.normal(0, 1, size=n), 1)
+    y = 3.0 * X[:, 1] + np.where(X[:, 0] > 2, 5.0, 0.0) + rng.normal(0, 0.5, size=n)
+    ts = np.arange(n, dtype=np.int64) * 1000 + T0
+    return Dataset(ts, y, X, tuple(f"c{i}" for i in range(6)))
+
+
+def _model_json(kind, make_dataset):
+    return json.dumps(fit(kind, make_dataset()).to_json()).encode()
+
+
+def _predictions(kind, make_dataset):
+    ds = make_dataset()
+    return predict_batch(fit(kind, ds), ds).tobytes()
+
+
+def _dataset_bytes():
+    ds = _sim_dataset()
+    return ds.ts_ms.tobytes() + ds.features.tobytes() + ds.targets.tobytes()
+
+
+# sha256 of the seeded dataset bytes, of the fitted models' JSON, and of
+# the batch predictions' bytes; pinned on the per-column argsort split
+# search and the per-row prediction loops, so any change in any bit of a
+# feature, split or prediction shows
+GOLDEN_PREDICT = {
+    "dataset_sim": (
+        _dataset_bytes,
+        "154e0ed10d4f0cbdb6fcddab9de9836e2e78a3154e098201193e16f87631d719"),
+    "gbrt_model_sim": (
+        lambda: _model_json("gbrt", _sim_dataset),
+        "e11499a0d619f129bab6952ca122add405d89b83a166ee3e67c3ffc6d3f17785"),
+    "gbrt_model_ties": (
+        lambda: _model_json("gbrt", _ties_dataset),
+        "d13ebaf24f01b2a9420ebdf1f5b2f7407117e02f7ffc13b2411d9808159383fe"),
+    "gbrt_predict_batch_sim": (
+        lambda: _predictions("gbrt", _sim_dataset),
+        "4729b9828b43aa282dd5cfeb0e76da133547101d528f79558ce96502b3990b10"),
+    "gbrt_predict_batch_ties": (
+        lambda: _predictions("gbrt", _ties_dataset),
+        "9770dad66599c03af41966068f251f23ca39c8ef0614b5ebffa9d79f794be4ee"),
+    "ridge_ar_predict_batch_sim": (
+        lambda: _predictions("ridge_ar", _sim_dataset),
+        "d281254a222085a7700e38f7b5c9793b01f296e7adb3125f1d6581e6989c9b2c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PREDICT))
+def test_predict_golden_digest(case):
+    make, expected = GOLDEN_PREDICT[case]
+    assert hashlib.sha256(make()).hexdigest() == expected
