@@ -666,11 +666,14 @@ def _finalize(f: _FlowState, duration_s: int) -> FlowStats:
         times = np.array([t for t, _ in f.rtt_samples])
         rtts = np.array([r for _, r in f.rtt_samples])
         idx = np.clip((times // 1000).astype(int), 0, duration_s - 1)
+        # samples are appended in event order, so idx never decreases and
+        # each second's samples are one slice, summed in the same order
+        bounds = np.searchsorted(idx, np.arange(duration_s + 1))
         last = 0.0
         for s in range(duration_s):
-            mask = idx == s
-            if np.any(mask):
-                last = float(rtts[mask].mean())
+            lo, hi = bounds[s], bounds[s + 1]
+            if hi > lo:
+                last = float(rtts[lo:hi].mean())
             srtt_series[s] = last
     loss_counts = np.zeros(duration_s, dtype=int)
     for t in f.loss_marks:

@@ -15,6 +15,8 @@ dragging in a full perturbation model.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -256,22 +258,78 @@ def topocentric(site: GroundSite, sat_ecef_km: np.ndarray) -> tuple[float, float
     return azimuth, elevation, rng
 
 
+class _ElementColumns:
+    """The per-record element columns of one catalog, as numpy arrays.
+
+    `records` is a copy of the catalog list the columns were built from;
+    `matches` holds only while the catalog holds those very record objects,
+    in the same order (records are frozen, so the same object means the
+    same elements).
+    """
+
+    def __init__(self, catalog: list[TleRecord]):
+        self.records = list(catalog)
+        self.n_rad = np.array([r.mean_motion_rev_per_day for r in catalog]) * 2.0 * math.pi / SECONDS_PER_DAY
+        self.a = (MU_EARTH_KM3_S2 / (self.n_rad * self.n_rad)) ** (1.0 / 3.0)
+        self.u0 = np.radians([r.arg_perigee_deg + r.mean_anomaly_deg for r in catalog])
+        inc = np.radians([r.inclination_deg for r in catalog])
+        raan = np.radians([r.raan_deg for r in catalog])
+        self.cos_inc, self.sin_inc = np.cos(inc), np.sin(inc)
+        self.cos_raan, self.sin_raan = np.cos(raan), np.sin(raan)
+        slot: dict[datetime, int] = {}
+        self.epoch_slot = np.array([slot.setdefault(r.epoch, len(slot)) for r in catalog],
+                                   dtype=np.intp)
+        self.epochs = list(slot)
+
+    def matches(self, catalog: list[TleRecord]) -> bool:
+        return (len(catalog) == len(self.records)
+                and all(map(operator.is_, catalog, self.records)))
+
+    def dt_s(self, t: datetime) -> np.ndarray:
+        """(t - epoch).total_seconds() for every record."""
+        return np.array([(t - e).total_seconds() for e in self.epochs])[self.epoch_slot]
+
+
+# Columns of the most recently used catalogs, keyed by id(); an entry is
+# used only after `matches` confirms the list still holds its records.
+_COLUMN_SLOTS = 4
+_columns: dict[int, _ElementColumns] = {}
+_columns_lock = threading.Lock()
+
+
+def _element_columns(catalog: list[TleRecord]) -> _ElementColumns:
+    with _columns_lock:
+        cols = _columns.get(id(catalog))
+    if cols is not None and cols.matches(catalog):
+        return cols
+    cols = _ElementColumns(catalog)
+    with _columns_lock:
+        _columns.pop(id(catalog), None)
+        while len(_columns) >= _COLUMN_SLOTS:
+            del _columns[next(iter(_columns))]
+        _columns[id(catalog)] = cols
+    return cols
+
+
 def _propagate_catalog(catalog: list[TleRecord], t: datetime) -> np.ndarray:
-    """Earth-fixed positions for every catalog entry, shape (n, 3). Vectorized."""
+    """Earth-fixed positions for every catalog entry, shape (n, 3). Vectorized.
+
+    The element columns (mean motion, radius, argument of latitude at
+    epoch, cos/sin of inclination and RAAN) are built once per catalog and
+    reused for as long as the list holds the same record objects in the
+    same order; replacing, adding or removing a record rebuilds them on
+    the next call. The time since epoch is taken once per distinct epoch.
+    """
     if not catalog:
         return np.zeros((0, 3))
-    n_rad = np.array([r.mean_motion_rev_per_day for r in catalog]) * 2.0 * math.pi / SECONDS_PER_DAY
-    a = (MU_EARTH_KM3_S2 / (n_rad * n_rad)) ** (1.0 / 3.0)
-    dt = np.array([(t - r.epoch).total_seconds() for r in catalog])
-    u = np.radians([r.arg_perigee_deg + r.mean_anomaly_deg for r in catalog]) + n_rad * dt
-    inc = np.radians([r.inclination_deg for r in catalog])
-    raan = np.radians([r.raan_deg for r in catalog])
+    c = _element_columns(catalog)
+    u = c.u0 + c.n_rad * c.dt_s(t)
     cu, su = np.cos(u), np.sin(u)
     eci = np.stack([
-        np.cos(raan) * cu - np.sin(raan) * su * np.cos(inc),
-        np.sin(raan) * cu + np.cos(raan) * su * np.cos(inc),
-        su * np.sin(inc),
-    ], axis=1) * a[:, None]
+        c.cos_raan * cu - c.sin_raan * su * c.cos_inc,
+        c.sin_raan * cu + c.cos_raan * su * c.cos_inc,
+        su * c.sin_inc,
+    ], axis=1) * c.a[:, None]
     theta = gmst_rad(t)
     ct, st = math.cos(theta), math.sin(theta)
     return np.stack([

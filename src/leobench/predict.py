@@ -16,6 +16,23 @@ Reference models, deliberately simple and fully deterministic:
 
 Models serialize to versioned JSON with coefficients/trees spelled out, so
 files survive refactors and can be inspected by hand.
+
+The tree fit is the exact greedy search with presorted columns (as in
+SLIQ and XGBoost's column blocks), and it builds the same trees, bit for
+bit, as one stable argsort per column per node would. Three invariants
+carry that:
+
+  * stable presort filter: each column is stably argsorted once per fit; a
+    child's order for a column is its parent's filtered to the child's
+    rows, which is exactly the stable argsort of the child's rows, so the
+    split scan sees the same values and residuals in the same order;
+  * order-preserving sums: the prefix sums are sequential `cumsum`s along
+    that order, and a node's mean and residual total are taken over its
+    residuals in original row order (numpy's pairwise summation depends on
+    order);
+  * first-feature tie-break: the first feature whose gain is strictly the
+    largest (and above 1e-12) wins, however many columns one numpy call
+    searches.
 """
 
 from __future__ import annotations
@@ -338,50 +355,100 @@ class TreeNode:
                    left=cls.from_json(obj["left"]), right=cls.from_json(obj["right"]))
 
 
-def _best_split(X: np.ndarray, residuals: np.ndarray, min_leaf: int):
-    """Exact greedy split minimizing squared error; returns
-    (feature, threshold, sse_gain) or None."""
-    n, d = X.shape
-    if n < 2 * min_leaf:
+# Elements (columns x node rows) searched per numpy call: few calls per
+# node, without (rows x columns) temporaries over every column of a large
+# node at once.
+_SPLIT_BLOCK_ELEMENTS = 8192
+
+
+def _best_split(XT: np.ndarray, residuals: np.ndarray, rows: np.ndarray,
+                orders: np.ndarray, min_leaf: int):
+    """Exact greedy split minimizing squared error over one node; returns
+    (feature, threshold, sse_gain) or None.
+
+    XT is the transposed design (features x all rows). `rows` holds the
+    node's row indices in ascending order and `orders[f]` the same rows
+    stably sorted by feature f.
+    """
+    n = len(rows)
+    if n < max(2, 2 * min_leaf):
         return None
-    total_sum = residuals.sum()
+    total_sum = residuals[rows].sum()
     base_sse_term = -(total_sum ** 2) / n
+    left_n = np.arange(1.0, n)
+    right_n = n - left_n
+    out_of_bounds = (left_n < min_leaf) | (right_n < min_leaf)
+    row_offsets = np.arange(len(orders))[:, None] * XT.shape[1]
+    flat_x = XT.ravel()
+    block = max(1, _SPLIT_BLOCK_ELEMENTS // n)
     best = None
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        rs = residuals[order]
-        csum = np.cumsum(rs)[:-1]
-        left_n = np.arange(1, n)
-        right_n = n - left_n
-        # -(sum^2/n) terms of the two children; lower is better
+    for lo in range(0, len(orders), block):
+        order = orders[lo:lo + block]
+        xs = flat_x[order + row_offsets[lo:lo + block]]   # xs[j] = XT[lo + j, order[j]]
+        csum = np.cumsum(residuals[order], axis=1)[:, :-1]
+        # sum^2/n of the two children, higher is better: the negation of
+        # -(csum^2)/left_n - (rest^2)/right_n, bit for bit
         with np.errstate(divide="ignore", invalid="ignore"):
-            score = -(csum ** 2) / left_n - ((total_sum - csum) ** 2) / right_n
-        valid = (xs[:-1] != xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not np.any(valid):
-            continue
-        score = np.where(valid, score, np.inf)
-        i = int(np.argmin(score))
-        gain = base_sse_term - score[i]
-        if gain > 1e-12 and (best is None or gain > best[2]):
-            best = (f, float((xs[i] + xs[i + 1]) / 2.0), float(gain))
+            score = np.square(csum)
+            score /= left_n
+            rest = total_sum - csum
+            np.square(rest, out=rest)
+            rest /= right_n
+            score += rest
+        invalid = xs[:, :-1] == xs[:, 1:]
+        invalid |= out_of_bounds
+        np.putmask(score, invalid, -np.inf)
+        at = score.argmax(axis=1)
+        gains = base_sse_term + score[np.arange(len(at)), at]
+        for j in range(len(at)):
+            gain = gains[j]
+            if gain > 1e-12 and (best is None or gain > best[2]):
+                i = at[j]
+                best = (lo + j, float((xs[j, i] + xs[j, i + 1]) / 2.0), float(gain))
     return best
 
 
-def _fit_tree(X: np.ndarray, residuals: np.ndarray, depth: int,
-              max_depth: int, min_leaf: int) -> TreeNode:
-    node = TreeNode(value=float(residuals.mean()))
-    if depth >= max_depth:
-        return node
-    split = _best_split(X, residuals, min_leaf)
+def _fit_tree(XT: np.ndarray, residuals: np.ndarray, rows: np.ndarray,
+              orders: np.ndarray | None, depth: int, max_depth: int,
+              min_leaf: int, fitted: np.ndarray) -> TreeNode:
+    """Grow one tree over `rows`; writes each row's leaf value to `fitted`.
+
+    `orders` is None at max_depth, where no split is searched."""
+    node = TreeNode(value=float(residuals[rows].mean()))
+    split = None
+    if depth < max_depth:
+        split = _best_split(XT, residuals, rows, orders, min_leaf)
     if split is None:
+        fitted[rows] = node.value
         return node
     f, thr, _ = split
-    mask = X[:, f] <= thr
     node.feature, node.threshold = f, thr
-    node.left = _fit_tree(X[mask], residuals[mask], depth + 1, max_depth, min_leaf)
-    node.right = _fit_tree(X[~mask], residuals[~mask], depth + 1, max_depth, min_leaf)
+    at_rows = XT[f, rows] <= thr
+    child_rows = (rows[at_rows], rows[~at_rows])
+    child_orders = (None, None)
+    if depth + 1 < max_depth:
+        # a child's order for a feature is this node's filtered to the
+        # child's rows, which is the stable argsort of the child's rows
+        goes_left = np.zeros(len(residuals), dtype=bool)
+        goes_left[rows] = at_rows
+        in_left = goes_left[orders].ravel()
+        child_orders = tuple(np.compress(keep, orders).reshape(len(orders), len(r))
+                             for keep, r in zip((in_left, ~in_left), child_rows))
+    node.left, node.right = (_fit_tree(XT, residuals, r, o, depth + 1, max_depth,
+                                       min_leaf, fitted)
+                             for r, o in zip(child_rows, child_orders))
     return node
+
+
+def _leaf_values(node: TreeNode, X: np.ndarray, rows: np.ndarray,
+                 out: np.ndarray) -> None:
+    """out[rows] = the value of the leaf each row of X reaches."""
+    if node.is_leaf:
+        out[rows] = node.value
+        return
+    goes_left = X[rows, node.feature] <= node.threshold
+    _leaf_values(node.left, X, rows[goes_left], out)
+    _leaf_values(node.right, X, rows[~goes_left], out)
 
 
 @dataclass
@@ -398,6 +465,18 @@ class GBRTModel(Model):
         out = self.init_value
         for tree in self.trees:
             out += self.learning_rate * tree.predict(xk)
+        return out
+
+    def _predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """predict_row for every row of X, with the same float operations
+        per row: the tree walks run for all rows at once."""
+        Xk = np.asarray(X, dtype=float)[:, list(self.kept_columns)]
+        rows = np.arange(len(Xk))
+        leaf = np.empty(len(Xk))
+        out = np.full(len(Xk), self.init_value)
+        for tree in self.trees:
+            _leaf_values(tree, Xk, rows, leaf)
+            out += self.learning_rate * leaf
         return out
 
     def to_json(self) -> dict:
@@ -420,18 +499,21 @@ def _fit_gbrt(dataset: Dataset, n_trees: int = 200, max_depth: int = 3,
     if len(kept) < X_full.shape[1]:
         log.warning("dropping %d constant feature columns",
                     X_full.shape[1] - len(kept))
-    X = X_full[:, kept]
+    XT = np.ascontiguousarray(X_full[:, kept].T)
+    rows = np.arange(XT.shape[1])
+    orders = np.argsort(XT, axis=1, kind="stable")
     y = dataset.targets.astype(float)
     init = float(y.mean())
     pred = np.full(len(y), init)
+    fitted = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(n_trees):
         residuals = y - pred
-        tree = _fit_tree(X, residuals, 0, max_depth, min_leaf)
+        tree = _fit_tree(XT, residuals, rows, orders, 0, max_depth, min_leaf, fitted)
         if tree.is_leaf and abs(tree.value) < 1e-12:
             break
         trees.append(tree)
-        pred += learning_rate * np.array([tree.predict(row) for row in X])
+        pred += learning_rate * fitted
     return GBRTModel(init, learning_rate, trees, dataset.feature_names,
                      tuple(int(i) for i in kept))
 
@@ -464,6 +546,9 @@ def predict(model: Model, features) -> float:
 
 
 def predict_batch(model: Model, dataset: Dataset) -> np.ndarray:
+    batch = getattr(model, "_predict_rows", None)
+    if batch is not None:
+        return batch(dataset.features)
     return np.array([model.predict_row(row) for row in dataset.features])
 
 

@@ -309,3 +309,42 @@ GOLDEN_VISIBLE = {
 def test_visible_sats_golden_digest(case):
     make, expected = GOLDEN_VISIBLE[case]
     assert make() == expected
+
+
+def _bits(site, catalog, t):
+    return repr([dataclasses.astuple(v) for v in visible_sats(site, catalog, t)])
+
+
+def test_catalog_columns_never_go_stale():
+    """visible_sats on a catalog it has seen before equals visible_sats on
+    a fresh copy of the list, after in-place edits, between two catalogs
+    used in turn, past the number of catalogs whose columns are kept, and
+    for an empty catalog that later fills."""
+    site = GroundSite(47.6, -122.3)
+    t = datetime(2026, 1, 1, 0, 7, tzinfo=timezone.utc)
+    catalog = synthetic_constellation()
+    first = _bits(site, catalog, t)
+
+    top = next(i for i, r in enumerate(catalog)
+               if r.name == visible_sats(site, catalog, t)[0].sat_id)
+    highest = catalog[top]
+    catalog[top] = dataclasses.replace(highest, raan_deg=highest.raan_deg + 40.0)
+    replaced = _bits(site, catalog, t)
+    assert replaced != first
+    assert replaced == _bits(site, list(catalog), t)
+
+    catalog.append(dataclasses.replace(highest, name="EXTRA"))
+    appended = _bits(site, catalog, t)
+    assert appended != replaced
+    assert appended == _bits(site, list(catalog), t)
+
+    others = [synthetic_constellation(phase_offset_deg=p, epoch=t - timedelta(hours=h))
+              for p, h in ((1.0, 1), (2.0, 5), (3.0, 9), (4.0, 13), (6.0, 20))]
+    for _ in range(2):
+        for cat in [catalog] + others:
+            assert _bits(site, cat, t) == _bits(site, list(cat), t)
+
+    empty: list[TleRecord] = []
+    assert visible_sats(site, empty, t) == []
+    empty.extend(catalog)
+    assert _bits(site, empty, t) == appended

@@ -2,10 +2,14 @@ import hashlib
 import json
 import math
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import leobench.predict as predict_module
 from leobench.orbital import (
     EARTH_RADIUS_KM,
     MU_EARTH_KM3_S2,
@@ -16,6 +20,7 @@ from leobench.orbital import (
 from leobench.predict import (
     Dataset,
     DegenerateDesign,
+    TreeNode,
     EvalReport,
     FeatureVector,
     ZeroActual,
@@ -414,3 +419,150 @@ GOLDEN_PREDICT = {
 def test_predict_golden_digest(case):
     make, expected = GOLDEN_PREDICT[case]
     assert hashlib.sha256(make()).hexdigest() == expected
+
+
+# --- fast paths against the scalar reference ----------------------------
+
+def _reference_best_split(X, residuals, min_leaf):
+    """The split search as one stable argsort per column per node: the
+    reference the presorted search must match bit for bit."""
+    n, d = X.shape
+    if n < 2 * min_leaf:
+        return None
+    total_sum = residuals.sum()
+    base_sse_term = -(total_sum ** 2) / n
+    best = None
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        rs = residuals[order]
+        csum = np.cumsum(rs)[:-1]
+        left_n = np.arange(1, n)
+        right_n = n - left_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = -(csum ** 2) / left_n - ((total_sum - csum) ** 2) / right_n
+        valid = (xs[:-1] != xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not np.any(valid):
+            continue
+        score = np.where(valid, score, np.inf)
+        i = int(np.argmin(score))
+        gain = base_sse_term - score[i]
+        if gain > 1e-12 and (best is None or gain > best[2]):
+            best = (f, float((xs[i] + xs[i + 1]) / 2.0), float(gain))
+    return best
+
+
+def _reference_fit_tree(X, residuals, depth, max_depth, min_leaf):
+    node = TreeNode(value=float(residuals.mean()))
+    if depth >= max_depth:
+        return node
+    split = _reference_best_split(X, residuals, min_leaf)
+    if split is None:
+        return node
+    f, thr, _ = split
+    mask = X[:, f] <= thr
+    node.feature, node.threshold = f, thr
+    node.left = _reference_fit_tree(X[mask], residuals[mask], depth + 1, max_depth, min_leaf)
+    node.right = _reference_fit_tree(X[~mask], residuals[~mask], depth + 1, max_depth, min_leaf)
+    return node
+
+
+def _reference_gbrt_trees(X, y, n_trees, max_depth, learning_rate, min_leaf):
+    """The boosting loop with a per-node search and per-row tree walks."""
+    pred = np.full(len(y), float(y.mean()))
+    trees = []
+    for _ in range(n_trees):
+        tree = _reference_fit_tree(X, y - pred, 0, max_depth, min_leaf)
+        if tree.is_leaf and abs(tree.value) < 1e-12:
+            break
+        trees.append(tree)
+        pred += learning_rate * np.array([tree.predict(row) for row in X])
+    return trees
+
+
+@st.composite
+def split_problems(draw):
+    """A node of a design with repeated values, constant columns and
+    copied columns (equal gains across features), and a row subset."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["few", "constant", "copy", "spread"]))
+        if kind == "constant":
+            columns.append([draw(st.sampled_from([0.0, 2.5]))] * n)
+        elif kind == "copy" and columns:
+            columns.append(list(columns[draw(st.integers(0, len(columns) - 1))]))
+        elif kind == "spread":
+            columns.append(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+                                         min_size=n, max_size=n)))
+    X = np.array(columns, dtype=float).T.reshape(n, len(columns))
+    residuals = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-50, 50)),
+        min_size=n, max_size=n)))
+    in_node = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    min_leaf = draw(st.integers(0, n // 2 + 1))
+    block = draw(st.integers(1, 3 * n))
+    return X, residuals, in_node, min_leaf, block
+
+
+@settings(max_examples=250, deadline=None)
+@given(split_problems())
+def test_presorted_split_search_matches_reference(problem):
+    """Same (feature, threshold, gain) as the per-column argsort search, at
+    the root and at a node whose orders are the root's filtered to it,
+    whatever the number of columns searched per numpy call."""
+    X, residuals, in_node, min_leaf, block = problem
+    XT = np.ascontiguousarray(X.T)
+    orders = np.argsort(XT, axis=1, kind="stable")
+    rows = np.arange(len(X))
+    node_rows = rows[in_node]
+    node_orders = orders[in_node[orders]].reshape(len(orders), len(node_rows))
+    with mock.patch.object(predict_module, "_SPLIT_BLOCK_ELEMENTS", block):
+        assert (predict_module._best_split(XT, residuals, rows, orders, min_leaf)
+                == _reference_best_split(X, residuals, min_leaf))
+        if len(node_rows):
+            assert (predict_module._best_split(XT, residuals, node_rows,
+                                               node_orders, min_leaf)
+                    == _reference_best_split(X[in_node], residuals[in_node], min_leaf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_problems(), st.integers(1, 6), st.integers(1, 3),
+       st.lists(st.sampled_from([0.0, 1.0, 1.25, 3.0, -7.0, np.nan, np.inf]),
+                min_size=1, max_size=60))
+def test_gbrt_batch_prediction_matches_rows(problem, n_trees, max_depth, probe):
+    """predict_batch equals predict_row row by row, bit for bit, on the
+    training rows and on rows sitting on thresholds or holding NaN/inf."""
+    X, residuals, _, min_leaf, _ = problem
+    n, d = X.shape
+    if n < 2 or not np.any(X.std(axis=0) > 0):
+        return
+    ts = np.arange(n, dtype=np.int64) * 1000 + T0
+    ds = Dataset(ts, residuals, X, tuple(f"c{i}" for i in range(d)))
+    model = fit("gbrt", ds, n_trees=n_trees, max_depth=max_depth,
+                min_leaf=max(min_leaf, 1), learning_rate=0.3)
+    probes = np.resize(np.array(probe), (max(1, len(probe) // d), d))
+    for Z in (X, probes):
+        zs = Dataset(np.arange(len(Z), dtype=np.int64), np.ones(len(Z)), Z, ds.feature_names)
+        rowwise = np.array([model.predict_row(r) for r in Z])
+        assert predict_batch(model, zs).tobytes() == rowwise.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_problems(), st.integers(1, 8), st.integers(0, 3))
+def test_gbrt_fit_matches_reference(problem, n_trees, max_depth):
+    """The same trees, bit for bit, as the per-node argsort search with
+    training predictions from per-row tree walks."""
+    X, y, _, min_leaf, _ = problem
+    kept = np.nonzero(X.std(axis=0) > 0)[0]
+    if len(kept) == 0:
+        return
+    ds = Dataset(np.arange(len(X), dtype=np.int64), y, X,
+                 tuple(f"c{i}" for i in range(X.shape[1])))
+    model = fit("gbrt", ds, n_trees=n_trees, max_depth=max_depth,
+                learning_rate=0.3, min_leaf=min_leaf)
+    trees = _reference_gbrt_trees(X[:, kept], y, n_trees, max_depth, 0.3, min_leaf)
+    assert json.dumps([t.to_json() for t in model.trees]) == \
+        json.dumps([t.to_json() for t in trees])
