@@ -276,8 +276,8 @@ def test_visible_sats_rejects_bad_mask():
 
 
 def _two_epoch_catalog():
-    """Planes 0-10 from one epoch and planes 11-21 from an epoch 36 hours
-    later, with the later planes' anomalies phased to stay interleaved."""
+    """Planes 0-10 from one epoch and planes 11-21, phased differently,
+    from an epoch 36 hours later."""
     early = synthetic_constellation(epoch=datetime(2026, 1, 1, tzinfo=timezone.utc))
     late = synthetic_constellation(epoch=datetime(2026, 1, 2, 12, tzinfo=timezone.utc),
                                    phase_offset_deg=7.0)

@@ -20,9 +20,9 @@ from leobench.orbital import (
 from leobench.predict import (
     Dataset,
     DegenerateDesign,
-    TreeNode,
     EvalReport,
     FeatureVector,
+    TreeNode,
     ZeroActual,
     assemble_features,
     dataset_from_trace,
@@ -362,7 +362,7 @@ def _sim_dataset(seconds=300, seed=21):
 
 
 def _ties_dataset():
-    """Constant columns, few distinct values per column, and column 4 an
+    """A constant column, few distinct values per column, and column 4 an
     exact copy of column 1, so gains tie across features."""
     rng = np.random.default_rng(31)
     n = 240
