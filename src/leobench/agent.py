@@ -16,7 +16,8 @@ going) and restarted with its remaining time once the link is quiet again.
 Runs execute in a dedicated working directory, process-sandboxed only;
 artifacts are uploaded to the results store and then deleted locally, with
 retained local copies and backoff retries if the store is down. A restart
-marks any orphaned RUNNING run FAILED and tells the orchestrator.
+marks any orphaned RUNNING run FAILED and tells the orchestrator, and queues
+the upload again for every sealed run whose artifacts are still on disk.
 """
 
 from __future__ import annotations
@@ -248,13 +249,18 @@ class Agent:
 
     def _recover_orphans(self) -> None:
         """A fresh start means any run recorded as RUNNING died with the
-        previous process; mark it FAILED and tell the orchestrator."""
+        previous process; mark it FAILED and tell the orchestrator. A sealed
+        run whose workdir is still here was never stored; upload it again."""
         for path in sorted(self._state_dir.glob("*.json")):
             try:
                 obj = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue
-            if obj.get("state") == RUNNING:
+            workdir = self.workdir / obj["run_id"]
+            if obj.get("manifest") is not None and workdir.is_dir():
+                self._queue_upload(obj["experiment_id"], obj["run_start_ms"],
+                                   workdir, obj["run_id"], obj["manifest"], 0)
+            elif obj.get("state") == RUNNING:
                 obj["state"] = FAILED
                 obj["orphaned"] = True
                 path.write_text(json.dumps(obj, sort_keys=True))
@@ -266,10 +272,12 @@ class Agent:
                                  "run_start_ms": obj.get("run_start_ms")},
                 })
 
-    def _write_run_state(self, run: LocalRun) -> None:
+    def _write_run_state(self, run: LocalRun, manifest: dict | None = None) -> None:
         obj = {"run_id": run.run_id, "experiment_id": run.spec.id,
                "node_id": self.node_id, "kind": run.spec.kind,
                "state": run.state, "run_start_ms": run.start_ms}
+        if manifest is not None:
+            obj["manifest"] = manifest
         (self._state_dir / f"{run.run_id}.json").write_text(
             json.dumps(obj, sort_keys=True))
 
@@ -492,7 +500,6 @@ class Agent:
 
     def _seal(self, run: LocalRun, now: int) -> None:
         """Write artifacts and queue the upload + completion report."""
-        self._write_run_state(run)
         data_files = []
         if run.spec.kind in DATA_FILENAMES:
             name = DATA_FILENAMES[run.spec.kind]
@@ -516,11 +523,20 @@ class Agent:
             "run_start_ms": run.start_ms, "run_end_ms": now,
             "row_count": len(run.rows), "data_files": data_files,
         }
-        self._uploads.append({"run": run, "manifest": manifest,
-                              "attempts": 0, "next_ms": now})
+        # the manifest in the state file lets a restart finish the upload
+        self._write_run_state(run, manifest)
+        self._queue_upload(run.spec.id, run.start_ms, run.workdir, run.run_id,
+                           manifest, now)
         self._process_uploads(now)
 
     # --- uploads and notices ----------------------------------------------
+
+    def _queue_upload(self, experiment_id: str, start_ms: int, workdir: Path,
+                      run_id: str, manifest: dict, due_ms: int) -> None:
+        self._uploads.append({"experiment_id": experiment_id,
+                              "start_ms": start_ms, "workdir": workdir,
+                              "run_id": run_id, "manifest": manifest,
+                              "attempts": 0, "next_ms": due_ms})
 
     def _process_uploads(self, now: int) -> None:
         remaining = []
@@ -528,22 +544,22 @@ class Agent:
             if now < item["next_ms"]:
                 remaining.append(item)
                 continue
-            run = item["run"]
             try:
-                self.store.upload(run.spec.id, self.node_id, run.start_ms,
-                                  run.workdir, item["manifest"])
+                self.store.upload(item["experiment_id"], self.node_id,
+                                  item["start_ms"], item["workdir"],
+                                  item["manifest"])
             except UploadFailure:
                 item["attempts"] += 1
                 idx = min(item["attempts"] - 1, len(self.upload_backoff_s) - 1)
                 item["next_ms"] = now + int(self.upload_backoff_s[idx] * 1000)
                 remaining.append(item)
                 continue
-            shutil.rmtree(run.workdir, ignore_errors=True)
-            state_file = self._state_dir / f"{run.run_id}.json"
+            shutil.rmtree(item["workdir"], ignore_errors=True)
+            state_file = self._state_dir / f"{item['run_id']}.json"
             if state_file.exists():
                 state_file.unlink()
             self._notices.append({
-                "type": "COMPLETE", "experiment_id": run.spec.id,
+                "type": "COMPLETE", "experiment_id": item["experiment_id"],
                 "node_id": self.node_id, "manifest": item["manifest"],
             })
         self._uploads = remaining

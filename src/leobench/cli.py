@@ -37,7 +37,7 @@ from pathlib import Path
 from . import abr, dissect, leolink, predict
 from .agent import Agent, SimSource, SocketSource, telemetry_service
 from .orbital import GroundSite, load_catalog, synthetic_constellation
-from .orchestrator import Orchestrator, OrchestratorClient, _error
+from .orchestrator import _ID_RE, Orchestrator, OrchestratorClient, _error
 from .store import ResultsStore
 from .telemetry import InsufficientHistory
 from .terminal_sim import TelemetrySample, TerminalModelConfig, TerminalSim
@@ -145,6 +145,13 @@ def load_config(args) -> CliConfig:
                 fail("BadConfig", f"configured {key} is not a directory: {value}")
     if not cfg.nodes:
         fail("BadConfig", "node list is empty")
+    # node ids become directory names in the workdir and the store
+    node_ids = list(cfg.nodes)
+    if getattr(args, "node_id", None) is not None:
+        node_ids.append(args.node_id)
+    for nid in node_ids:
+        if not _ID_RE.fullmatch(nid):
+            fail("BadConfig", f"node ids must match {_ID_RE.pattern}: {nid!r}")
     return cfg
 
 
@@ -287,8 +294,7 @@ def _wait(duration_s: float | None, stop: threading.Event) -> None:
 def cmd_orchestrate(args, cfg: CliConfig) -> int:
     orch = Orchestrator(cfg.nodes,
                         heartbeat_interval_s=args.heartbeat_interval_s,
-                        log_path=args.log,
-                        snapshot_every=args.snapshot_every)
+                        log_path=args.log)
     port = cfg.orchestrator_port if args.port is None else args.port
     srv, _ = orch.serve(cfg.orchestrator_host, port)
     _announce({"listening": srv.getsockname()[1], "nodes": list(cfg.nodes)})
@@ -577,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--port", type=int, default=None,
                     help="listen port (default: configured port; 0 = ephemeral)")
     sp.add_argument("--nodes", help="comma-separated node ids to register")
-    sp.add_argument("--log", help="write-ahead log path (enables restart)")
-    sp.add_argument("--snapshot-every", type=int, default=100)
+    sp.add_argument("--log", help="write-ahead log path; an existing log is "
+                                   "replayed, then appended to")
     sp.add_argument("--heartbeat-interval-s", type=float, default=10.0)
     sp.add_argument("--duration-s", type=float, default=None,
                     help="exit after this long (default: run until SIGINT)")

@@ -17,14 +17,19 @@ that is not JSON, not a JSON object, or lacks a well-formed field gets
 BadMessage.
 
 Every mutating call is validated, then appended as a numbered entry to a
-JSONL log, then applied; a periodic snapshot records the log high-water mark
-so restart replays only the tail. Replaying the whole log from an empty
-state must reconstruct identical tables, and tests hold the API to that.
+JSONL log, then applied. The log is the only durable state: opening an
+existing log replays it from an empty state, which must reconstruct
+identical tables (tests hold the API to that), and then keeps appending to
+it. Replay streams the file and is strict: entries are numbered 1, 2, ...
+with no gap or repeat; a final line with no newline is an append torn by a
+crash and is cut off; any other line that does not parse or apply, or that
+breaks the numbering, raises ValueError naming path:line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import socket
 import threading
@@ -226,12 +231,12 @@ class Orchestrator:
 
     def __init__(self, node_ids, clock=None,
                  heartbeat_interval_s: float = 10.0,
-                 log_path=None, snapshot_path=None, snapshot_every: int = 100,
-                 max_requeues: int = 1):
+                 log_path=None, max_requeues: int = 1):
+        """With `log_path`, an existing log is replayed first and new
+        entries continue its numbering."""
         self.clock = clock if clock is not None else WallClock()
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.max_requeues = int(max_requeues)
-        self.snapshot_every = int(snapshot_every)
         self._lock = threading.RLock()
         self._nodes: dict[str, NodeRecord] = {
             nid: NodeRecord(nid) for nid in node_ids}
@@ -241,12 +246,7 @@ class Orchestrator:
         self._next_seq: dict[str, int] = {nid: 1 for nid in node_ids}
         self._seen_completions: set[tuple] = set()
         self._log_n = 0
-        self._log_path = Path(log_path) if log_path else None
-        self._snapshot_path = (Path(snapshot_path) if snapshot_path
-                               else (self._log_path.with_suffix(".snap.json")
-                                     if self._log_path else None))
-        self._log_file = (open(self._log_path, "a", buffering=1)
-                          if self._log_path else None)
+        self._log_file = self._replay(Path(log_path)) if log_path else None
 
     # --- submission -------------------------------------------------------
 
@@ -264,7 +264,6 @@ class Orchestrator:
                 raise ConflictError(clashing)
             self._append_log({"op": "submit", "spec": spec.to_json()})
             self._apply_submit(spec)
-            self._maybe_snapshot()
         return spec.id
 
     def _occupied_nodes(self, spec: ExperimentSpec) -> set[str]:
@@ -322,7 +321,6 @@ class Orchestrator:
                      "acks": [int(a) for a in acks], "runs": runs}
             self._append_log(entry)
             self._apply_heartbeat(entry)
-            self._maybe_snapshot()
             return [{"seq": p["seq"],
                      "spec": self._specs[p["experiment_id"]].to_json()}
                     for p in self._pending[node_id]]
@@ -360,9 +358,7 @@ class Orchestrator:
                 return {"duplicate": True, "requeued": False}
             self._append_log({"op": "complete", "experiment_id": experiment_id,
                               "node_id": node_id, "manifest": dict(manifest)})
-            result = self._apply_complete(experiment_id, node_id, manifest)
-            self._maybe_snapshot()
-            return result
+            return self._apply_complete(experiment_id, node_id, manifest)
 
     def _apply_complete(self, experiment_id: str, node_id: str,
                         manifest: dict) -> dict:
@@ -418,24 +414,9 @@ class Orchestrator:
         if self._log_file is not None:
             self._log_file.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def _maybe_snapshot(self) -> None:
-        # only after the logged entry has been applied, so the snapshot's
-        # high-water mark never outruns its captured state
-        if self._log_file is not None and self.snapshot_every \
-                and self._log_n % self.snapshot_every == 0:
-            self.write_snapshot()
-
-    def write_snapshot(self) -> None:
-        if self._snapshot_path is None:
-            return
-        payload = {"log_n": self._log_n, "state": self.to_state()}
-        tmp = self._snapshot_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(self._snapshot_path)
-
     def to_state(self) -> dict:
-        """Canonical JSON-friendly dump of every table, for snapshots and
-        replay-identity checks."""
+        """Canonical JSON-friendly dump of every table, for replay-identity
+        checks."""
         with self._lock:
             return {
                 "specs": {eid: s.to_json() for eid, s in sorted(self._specs.items())},
@@ -450,22 +431,6 @@ class Orchestrator:
                 "completions": sorted(list(k) for k in self._seen_completions),
             }
 
-    def _load_state(self, state: dict) -> None:
-        self._specs = {eid: ExperimentSpec.from_json(s)
-                       for eid, s in state["specs"].items()}
-        self._runs = {}
-        for r in state["runs"]:
-            self._runs[(r["experiment_id"], r["node_id"])] = RunRecord(
-                r["experiment_id"], r["node_id"], r["state"], r["requeues"],
-                r["manifest"])
-        for nid, q in state["pending"].items():
-            self._pending[nid] = [{"seq": s, "experiment_id": e} for s, e in q]
-        self._next_seq.update(state["next_seq"])
-        for nid, hb in state["nodes"].items():
-            if nid in self._nodes:
-                self._nodes[nid].last_heartbeat_ms = hb
-        self._seen_completions = {tuple(k) for k in state["completions"]}
-
     def _apply(self, entry: dict) -> None:
         op = entry["op"]
         if op == "submit":
@@ -478,34 +443,35 @@ class Orchestrator:
         else:
             raise ValueError(f"unknown log op {op!r}")
 
+    def _replay(self, path: Path):
+        """Apply every entry of the log at `path`, cut a torn final line,
+        and return the log opened for appending."""
+        end = 0   # byte offset just past the last complete line
+        if path.exists():
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.endswith(b"\n"):
+                        break
+                    try:
+                        entry = json.loads(line)
+                        if entry["n"] != self._log_n + 1:
+                            raise ValueError(f"entry n={entry['n']!r}, "
+                                             f"expected {self._log_n + 1}")
+                        self._apply(entry)
+                    except (OrchestratorError, AttributeError, KeyError,
+                            TypeError, ValueError) as exc:
+                        raise ValueError(f"{path}:{lineno}: bad log entry: "
+                                         f"{type(exc).__name__}: {exc}") from None
+                    self._log_n += 1
+                    end += len(line)
+            if end < path.stat().st_size:
+                os.truncate(path, end)
+        return open(path, "a", buffering=1)
+
     @classmethod
-    def restore(cls, node_ids, log_path, snapshot_path=None,
-                **kwargs) -> "Orchestrator":
-        """Rebuild from snapshot plus log tail (or the whole log). The
-        returned instance keeps appending to the same log."""
-        orch = cls(node_ids, log_path=None, snapshot_path=None, **kwargs)
-        log_path = Path(log_path)
-        snap = (Path(snapshot_path) if snapshot_path
-                else log_path.with_suffix(".snap.json"))
-        if snap.exists():
-            payload = json.loads(snap.read_text())
-            orch._load_state(payload["state"])
-            orch._log_n = payload["log_n"]
-        if log_path.exists():
-            with open(log_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    if entry["n"] <= orch._log_n:
-                        continue
-                    orch._apply(entry)
-                    orch._log_n = entry["n"]
-        orch._log_path = log_path
-        orch._snapshot_path = snap
-        orch._log_file = open(log_path, "a", buffering=1)
-        return orch
+    def restore(cls, node_ids, log_path, **kwargs) -> "Orchestrator":
+        """Same as `Orchestrator(node_ids, log_path=log_path, **kwargs)`."""
+        return cls(node_ids, log_path=log_path, **kwargs)
 
     def close(self) -> None:
         if self._log_file is not None:
@@ -538,7 +504,7 @@ class Orchestrator:
             raise BadMessage(f"unknown message type {mtype!r}")
         except OrchestratorError as exc:
             return _error(type(exc).__name__, str(exc), **exc.fields)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return _error("BadMessage", f"{type(exc).__name__}: {exc}")
 
     def serve(self, host: str = "127.0.0.1", port: int = 0):

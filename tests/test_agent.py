@@ -468,6 +468,36 @@ def test_restart_marks_orphaned_running_as_failed(tmp_path):
     assert orch.query("png")["runs"][0]["state"] == "FAILED"
 
 
+def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
+    clock, orch, store, sim, agent = make_rig(tmp_path)
+
+    def down():
+        raise UploadFailure("store down")
+
+    store.fault_hook = down
+    orch.submit_experiment(window_spec("png", 1000, 4000))
+    drive(agent, clock, 5)       # sealed at t=4000; every upload fails
+    workdir = tmp_path / "agent" / "png-1000"
+    assert workdir.exists() and store.list_runs("png") == []
+    sealed = json.loads((tmp_path / "agent" / "_state" / "png-1000.json")
+                        .read_text())
+    assert sealed["state"] == "COMPLETED"
+
+    # the process dies with the upload queued; the store comes back
+    store.fault_hook = None
+    agent2 = Agent("n1", LocalClient(orch), store,
+                   SimSource(TerminalSim(TerminalModelConfig(rng_seed=9))),
+                   clock=clock, workdir=tmp_path / "agent", heartbeat_every_s=5)
+    drive(agent2, clock, 2)
+
+    assert len(store.list_runs("png")) == 1
+    assert store.read_manifest("png", "n1", 1000) == sealed["manifest"]
+    assert sealed["manifest"]["row_count"] == 3
+    assert not workdir.exists()
+    assert list((tmp_path / "agent" / "_state").iterdir()) == []
+    assert orch.query("png")["runs"][0]["state"] == "COMPLETED"
+
+
 # --- live telemetry feed --------------------------------------------------
 
 def test_socket_source_reads_served_telemetry(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from leobench import dissect
 from leobench.agent import traceroute_hops
 from leobench.cli import (CliError, build_parser, load_config, main,
                           traceroute_runs)
-from leobench.orchestrator import Orchestrator
+from leobench.orchestrator import Orchestrator, OrchestratorClient
 from leobench.store import ResultsStore
 from leobench.terminal_sim import TerminalModelConfig, TerminalSim
 
@@ -115,7 +117,8 @@ def test_config_env_pointer(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("content", ["{not json", '{"unknown_key": 1}',
-                                     '{"orchestrator_port": "x"}', "[1, 2]"])
+                                     '{"orchestrator_port": "x"}', "[1, 2]",
+                                     '{"nodes": ["n1", "a/b"]}'])
 def test_config_file_rejected(tmp_path, content):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(content)
@@ -343,12 +346,18 @@ def malformed_inputs(tmp_path):
     ("results fetch ../secret --store-root store --dest dest", "BadInput"),
     ("results list ../secret --store-root store", "BadInput"),
     ("abr-eval --traces traces", "BadInput"),
+    ("orchestrate --nodes ../evil,n1 --port 0 --duration-s 0", "BadConfig"),
+    ("agent --node-id ../evil --duration-s 0", "BadConfig"),
+    ("LEO_NODES=n1,.hidden status", "BadConfig"),
 ])
 def test_malformed_input_gives_one_json_error_line(tmp_path, capsys,
                                                    monkeypatch, argv, kind):
     malformed_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    assert main(argv.split()) == 1
+    words = argv.split()
+    while "=" in words[0]:        # leading NAME=value words set the environment
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    assert main(words) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
@@ -410,6 +419,39 @@ def test_orchestrate_announces_port(capsys):
     line = json.loads(capsys.readouterr().out.splitlines()[0])
     assert line["listening"] > 0
     assert line["nodes"] == ["n1"]
+
+
+def test_orchestrate_on_an_existing_log_carries_on(tmp_path, capsys):
+    log = tmp_path / "orch.jsonl"
+    first = Orchestrator(["n1"], log_path=log)
+    first.submit_experiment(WINDOW_SPEC)
+    first.heartbeat("n1", ts_ms=500, acks=[1])
+    first.close()
+
+    out = {}
+    daemon = threading.Thread(target=lambda: out.setdefault("rc", main([
+        "orchestrate", "--port", "0", "--nodes", "n1", "--log", str(log),
+        "--duration-s", "1"])))
+    daemon.start()
+    announced, deadline = "", time.monotonic() + 10
+    while "\n" not in announced and time.monotonic() < deadline:
+        time.sleep(0.01)
+        announced += capsys.readouterr().out
+    port = json.loads(announced.splitlines()[0])["listening"]
+    client = OrchestratorClient("127.0.0.1", port)
+    seen = client.call({"type": "QUERY"})["result"]
+    client.call({"type": "HEARTBEAT", "node_id": "n1", "ts_ms": 999})
+    daemon.join()
+    assert out["rc"] == 0
+    assert [e["id"] for e in seen] == ["e1"]     # the first life's table
+
+    restored = Orchestrator.restore(["n1"], log)
+    state = restored.to_state()
+    restored.close()
+    assert list(state["specs"]) == ["e1"]
+    assert state["nodes"] == {"n1": 999}
+    numbers = [json.loads(line)["n"] for line in log.read_text().splitlines()]
+    assert numbers == [1, 2, 3]
 
 
 def test_terminal_sim_announces_port(tmp_path, capsys):

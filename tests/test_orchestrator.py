@@ -1,8 +1,13 @@
 import json
+import re
 import socket
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leobench.clocks import SimClock
 from leobench.orchestrator import (BadMessage, BadSpec, BadTrigger,
@@ -377,9 +382,8 @@ def test_log_replay_reconstructs_identical_state(tmp_path):
 
 def test_snapshot_plus_tail_restore(tmp_path):
     log = tmp_path / "orch.jsonl"
-    orch = make_orch(log_path=log, snapshot_every=3)
-    run_script(orch)          # > 3 entries, so a snapshot was taken mid-way
-    assert (tmp_path / "orch.snap.json").exists()
+    orch = make_orch(log_path=log)
+    run_script(orch)
     want = orch.to_state()
     orch.close()
 
@@ -393,6 +397,197 @@ def test_snapshot_plus_tail_restore(tmp_path):
     again = Orchestrator.restore(NODES, log, clock=SimClock(0))
     assert again.to_state() == want2
     again.close()
+
+
+def log_numbers(log):
+    return [json.loads(line)["n"] for line in log.read_text().splitlines()]
+
+
+def test_restore_after_a_crash_at_every_byte_offset(tmp_path):
+    full = tmp_path / "full.jsonl"
+    orch = make_orch(log_path=full)
+    run_script(orch)
+    orch.close()
+    data = full.read_bytes()
+    cut = tmp_path / "cut.jsonl"
+
+    # what each prefix of complete lines restores to
+    line_ends = [0] + [i + 1 for i, b in enumerate(data) if b == ord("\n")]
+    prefix_state = {}
+    for end in line_ends:
+        cut.write_bytes(data[:end])
+        orch = Orchestrator.restore(NODES, cut, clock=SimClock(0))
+        prefix_state[end] = orch.to_state()
+        orch.close()
+
+    later = make_spec("later", windows=((900000, 960000),))
+    for offset in range(len(data) + 1):
+        cut.write_bytes(data[:offset])
+        complete = max(end for end in line_ends if end <= offset)
+        orch = Orchestrator.restore(NODES, cut, clock=SimClock(0))
+        assert orch.to_state() == prefix_state[complete], offset
+        orch.submit_experiment(later)
+        want = orch.to_state()
+        orch.close()
+        again = Orchestrator.restore(NODES, cut, clock=SimClock(0))
+        assert again.to_state() == want, offset
+        again.close()
+        numbers = log_numbers(cut)
+        assert numbers == list(range(1, len(numbers) + 1)), offset
+
+
+def test_corrupt_or_misnumbered_log_line_names_its_place(tmp_path):
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    run_script(orch)
+    orch.close()
+    lines = log.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    for broken, lineno in (
+            (lines[:2] + [b'{"n": 3, "op": \n'] + lines[3:], 3),    # corrupt
+            (lines[:2] + [b"\n"] + lines[3:], 3),                    # blank
+            (lines[:3] + lines[2:], 4),                               # repeated n
+            (lines[:2] + lines[3:], 3)):                              # missing n
+        bad.write_bytes(b"".join(broken))
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:{lineno}:")):
+            Orchestrator.restore(NODES, bad, clock=SimClock(0))
+        assert bad.read_bytes() == b"".join(broken)   # left as it was
+
+
+# --- property tests -------------------------------------------------------
+
+EIDS = ["e0", "e1", "e2", "e3", "e4"]
+TARGETS = NODES + ["ghost"]
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(EIDS),
+              st.lists(st.sampled_from(TARGETS), min_size=1, max_size=3,
+                       unique=True),
+              st.integers(0, 4),          # window slot; 0 binds a trigger
+              st.booleans()),             # carries overhead
+    st.tuples(st.just("heartbeat"), st.sampled_from(TARGETS),
+              st.integers(0, 10**6),
+              st.one_of(st.just("pending"),
+                        st.lists(st.integers(0, 12), max_size=4)),
+              st.lists(st.tuples(st.sampled_from(EIDS),
+                                 st.sampled_from(["RUNNING", "COMPLETED"])),
+                       max_size=2)),
+    st.tuples(st.just("complete"),
+              st.integers(0, 3),          # which run, if there is any
+              st.sampled_from(["COMPLETED", "FAILED", "KILLED", "PREEMPTED",
+                               "RUNNING"]),
+              st.integers(0, 2)),         # run_start_ms: repeats are duplicates
+    st.just(("restart",)),
+), max_size=40)
+
+
+def apply_op(orch, op):
+    kind = op[0]
+    if kind == "submit":
+        _, eid, nodes, slot, overhead = op
+        schedule = ({"windows": [[slot * 1000, slot * 1000 + 2500]]} if slot
+                    else {"trigger": {"trigger": "latency_ms > 80",
+                                      "max_runtime_s": 10}})
+        orch.submit_experiment({
+            "id": eid, "kind": "PING", "clients": nodes, "schedule": schedule,
+            "overhead": "OVERHEAD" if overhead else "NO_OVERHEAD"})
+    elif kind == "heartbeat":
+        _, nid, ts_ms, acks, runs = op
+        if acks == "pending":
+            acks = ([p["seq"] for p in orch.pending_for(nid)]
+                    if nid in NODES else [])
+        orch.heartbeat(nid, ts_ms=ts_ms, acks=acks,
+                       runs=[{"experiment_id": e, "state": s} for e, s in runs])
+    else:
+        _, pick, state, start = op
+        runs = [(e["id"], r["node_id"]) for e in orch.query() for r in e["runs"]]
+        eid, nid = runs[pick % len(runs)] if runs else ("e0", "ghost")
+        orch.record_completion(eid, nid, {"state": state, "run_start_ms": start})
+
+
+@settings(max_examples=100, deadline=None)
+@given(OPS)
+def test_random_operations_replay_to_the_live_state(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "orch.jsonl"
+        orch = make_orch(log_path=log)
+        for op in ops:
+            if op[0] == "restart":
+                want = orch.to_state()
+                orch.close()
+                orch = Orchestrator.restore(NODES, log, clock=SimClock(0))
+                assert orch.to_state() == want
+                continue
+            try:
+                apply_op(orch, op)
+            except OrchestratorError:
+                pass
+        want = orch.to_state()
+        orch.close()
+        restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
+        assert restored.to_state() == want
+        restored.close()
+        numbers = log_numbers(log)
+        assert numbers == list(range(1, len(numbers) + 1))
+
+
+# edge values that a plain draw seldom hits; Python's json reads
+# Infinity and NaN off the wire
+EDGES = [float("inf"), float("-inf"), float("nan"), 2**64, -1, 0, "", "n1", "a"]
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=6) | st.sampled_from(EDGES))
+JSON = st.recursive(
+    SCALARS, lambda kids: (st.lists(kids, max_size=3)
+                           | st.dictionaries(st.text(max_size=6), kids,
+                                             max_size=3)),
+    max_leaves=12)
+WELL_FORMED = [
+    {"type": "SUBMIT", "spec": make_spec(
+        "a", nodes=("n1", "n2"), servers=("n3",)).to_json()},
+    {"type": "SUBMIT", "spec": make_spec(
+        "b", trigger={"trigger": "latency_ms > 80", "max_runtime_s": 10}).to_json()},
+    {"type": "HEARTBEAT", "node_id": "n1", "ts_ms": 0, "acks": [1],
+     "runs": [{"experiment_id": "a", "state": "RUNNING"}]},
+    {"type": "COMPLETE", "experiment_id": "a", "node_id": "n1",
+     "manifest": {"state": "PREEMPTED", "run_start_ms": 0}},
+    {"type": "QUERY", "experiment_id": "a"},
+]
+
+
+@st.composite
+def messages(draw):
+    """Any JSON value, or a well-formed message with up to three parts, at
+    any depth, replaced by any JSON value or dropped."""
+    if draw(st.booleans()):
+        return draw(JSON)
+    msg = json.loads(json.dumps(draw(st.sampled_from(WELL_FORMED))))
+    for _ in range(draw(st.integers(0, 3))):
+        target = msg
+        while target:
+            keys = sorted(target) if isinstance(target, dict) else range(len(target))
+            key = draw(st.sampled_from(keys))
+            if isinstance(target[key], (dict, list)) and draw(st.booleans()):
+                target = target[key]
+                continue
+            if draw(st.integers(0, 4)):
+                target[key] = draw(SCALARS | JSON)
+            else:
+                del target[key]
+            break
+    return msg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(messages(), max_size=6))
+@example([{"type": "HEARTBEAT", "node_id": "n1", "ts_ms": float("inf")},
+          {"type": "SUBMIT", "spec": {**WELL_FORMED[0]["spec"], "schedule": {
+              "windows": [[0, float("inf")]]}}}])
+def test_handle_message_never_raises_on_any_json_value(msgs):
+    orch = make_orch()
+    for msg in msgs:
+        resp = orch.handle_message(msg)
+        assert isinstance(resp, dict) and isinstance(resp["ok"], bool)
+        json.dumps(resp)
 
 
 # --- wire dispatch --------------------------------------------------------
