@@ -431,7 +431,7 @@ def test_orchestrate_on_an_existing_log_carries_on(tmp_path, capsys):
     out = {}
     daemon = threading.Thread(target=lambda: out.setdefault("rc", main([
         "orchestrate", "--port", "0", "--nodes", "n1", "--log", str(log),
-        "--duration-s", "1"])))
+        "--duration-s", "2"])))
     daemon.start()
     announced, deadline = "", time.monotonic() + 10
     while "\n" not in announced and time.monotonic() < deadline:
