@@ -10,6 +10,21 @@ Kepler's third law and an inertial-to-earth-fixed rotation by the Greenwich
 sidereal angle. That keeps every quantity the terminal model needs (who is
 overhead, how far away) well inside a few-percent accuracy budget without
 dragging in a full perturbation model.
+
+`look_angles` computes the geometry of a whole catalog at many instants at
+once, and `visible_sats` is its one-instant case. A batch gives every
+(instant, satellite) pair the same bits as one instant alone would:
+
+  * same elementwise operations: every element goes through the same
+    numpy operations in the same order, whatever the number of instants;
+    the time since epoch is taken per instant and distinct epoch, cos/sin
+    of the sidereal angle per instant with `math`, and the range is
+    `np.linalg.norm` over the last axis of C-ordered (pairs x 3) offsets;
+  * only where up >= 0: range, azimuth and elevation are computed only for
+    pairs at or above the horizon, and are NaN elsewhere; an elevation
+    mask in [0, 90) admits none of those, so no visible satellite changes;
+  * one staleness rule: every element set is checked against every instant
+    with the rule `propagate` applies.
 """
 
 from __future__ import annotations
@@ -216,15 +231,21 @@ def propagate_eci(rec: TleRecord, t: datetime) -> np.ndarray:
     ])
 
 
+def _check_ephemeris_age(abs_dt_s: float) -> None:
+    """Raise StaleEphemeris when |t - epoch|, in seconds, exceeds 7 days; the
+    circular model has no drag term, so old element sets quietly drift out
+    of tolerance."""
+    age_days = abs_dt_s / SECONDS_PER_DAY
+    if age_days > MAX_EPHEMERIS_AGE_DAYS:
+        raise StaleEphemeris(f"elements are {age_days:.1f} days from epoch (limit {MAX_EPHEMERIS_AGE_DAYS:g})")
+
+
 def propagate(rec: TleRecord, t: datetime) -> np.ndarray:
     """Earth-fixed position (km) at time t.
 
-    Raises StaleEphemeris when |t - epoch| exceeds 7 days; the circular model
-    has no drag term, so old element sets quietly drift out of tolerance.
+    Raises StaleEphemeris when |t - epoch| exceeds 7 days.
     """
-    age_days = abs((t - rec.epoch).total_seconds()) / SECONDS_PER_DAY
-    if age_days > MAX_EPHEMERIS_AGE_DAYS:
-        raise StaleEphemeris(f"elements are {age_days:.1f} days from epoch (limit {MAX_EPHEMERIS_AGE_DAYS:g})")
+    _check_ephemeris_age(abs((t - rec.epoch).total_seconds()))
     eci = propagate_eci(rec, t)
     theta = gmst_rad(t)
     ct, st = math.cos(theta), math.sin(theta)
@@ -285,10 +306,6 @@ class _ElementColumns:
         return (len(catalog) == len(self.records)
                 and all(map(operator.is_, catalog, self.records)))
 
-    def dt_s(self, t: datetime) -> np.ndarray:
-        """(t - epoch).total_seconds() for every record."""
-        return np.array([(t - e).total_seconds() for e in self.epochs])[self.epoch_slot]
-
 
 # Columns of the most recently used catalogs, keyed by id(); an entry is
 # used only after `matches` confirms the list still holds its records.
@@ -311,56 +328,69 @@ def _element_columns(catalog: list[TleRecord]) -> _ElementColumns:
     return cols
 
 
-def _propagate_catalog(catalog: list[TleRecord], t: datetime) -> np.ndarray:
-    """Earth-fixed positions for every catalog entry, shape (n, 3). Vectorized.
+def look_angles(site: GroundSite,
+                catalog: list[TleRecord],
+                times: list[datetime]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(azimuth_deg, elevation_deg, range_km) of every catalog entry from a
+    site at every instant, each of shape (len(times), len(catalog)).
 
-    The element columns (mean motion, radius, argument of latitude at
-    epoch, cos/sin of inclination and RAAN) are built once per catalog and
-    reused for as long as the list holds the same record objects in the
-    same order; replacing, adding or removing a record rebuilds them on
-    the next call. The time since epoch is taken once per distinct epoch.
+    All three are NaN where the satellite is below the horizon (up < 0).
+    Raises StaleEphemeris when any element set is more than 7 days from any
+    instant. The element columns (mean motion, radius, argument of latitude
+    at epoch, cos/sin of inclination and RAAN) are built once per catalog
+    and reused for as long as the list holds the same record objects in the
+    same order; replacing, adding or removing a record rebuilds them on the
+    next call. The time since epoch is taken once per instant and distinct
+    epoch.
     """
-    if not catalog:
-        return np.zeros((0, 3))
     c = _element_columns(catalog)
-    u = c.u0 + c.n_rad * c.dt_s(t)
+    dt = [[(t - e).total_seconds() for e in c.epochs] for t in times]
+    _check_ephemeris_age(max((abs(x) for row in dt for x in row), default=0.0))
+    dt = np.array(dt, dtype=float).reshape(len(times), len(c.epochs))
+    u = c.u0 + c.n_rad * dt[:, c.epoch_slot]
     cu, su = np.cos(u), np.sin(u)
-    eci = np.stack([
-        c.cos_raan * cu - c.sin_raan * su * c.cos_inc,
-        c.sin_raan * cu + c.cos_raan * su * c.cos_inc,
-        su * c.sin_inc,
-    ], axis=1) * c.a[:, None]
-    theta = gmst_rad(t)
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.stack([
-        eci[:, 0] * ct + eci[:, 1] * st,
-        -eci[:, 0] * st + eci[:, 1] * ct,
-        eci[:, 2],
-    ], axis=1)
+    x = (c.cos_raan * cu - c.sin_raan * su * c.cos_inc) * c.a
+    y = (c.sin_raan * cu + c.cos_raan * su * c.cos_inc) * c.a
+    z = su * c.sin_inc * c.a
+    theta = [gmst_rad(t) for t in times]
+    ct = np.array([math.cos(th) for th in theta])[:, None]
+    st = np.array([math.sin(th) for th in theta])[:, None]
+    e0, e1, e2 = site.ecef_km()
+    d0 = x * ct + y * st - e0
+    d1 = -x * st + y * ct - e1
+    d2 = z - e2
+    lat = math.radians(site.latitude_deg)
+    lon = math.radians(site.longitude_deg)
+    up = (d0 * math.cos(lat) * math.cos(lon)
+          + d1 * math.cos(lat) * math.sin(lon)
+          + d2 * math.sin(lat))
+    above = (up >= 0.0).ravel().nonzero()[0]
+    d = np.empty((len(above), 3))
+    for j, dj in enumerate((d0, d1, d2)):
+        d[:, j] = dj.ravel()[above]
+    d0, d1, d2 = d[:, 0], d[:, 1], d[:, 2]
+    east = -d0 * math.sin(lon) + d1 * math.cos(lon)
+    north = (-d0 * math.sin(lat) * math.cos(lon)
+             - d1 * math.sin(lat) * math.sin(lon)
+             + d2 * math.cos(lat))
+    rng = np.linalg.norm(d, axis=-1)
+    azimuth, elevation, range_km = np.full((3, up.size), np.nan)
+    range_km[above] = rng
+    elevation[above] = np.degrees(np.arcsin(np.clip(up.ravel()[above] / rng, -1.0, 1.0)))
+    azimuth[above] = np.degrees(np.arctan2(east, north)) % 360.0
+    return (azimuth.reshape(up.shape), elevation.reshape(up.shape),
+            range_km.reshape(up.shape))
 
 
 def visible_sats(site: GroundSite,
                  catalog: list[TleRecord],
                  t: datetime,
                  mask_deg: float = DEFAULT_ELEVATION_MASK_DEG) -> list[VisibleSat]:
-    """Every satellite at or above the elevation mask, highest elevation first."""
+    """Every satellite at or above the elevation mask, highest elevation
+    first, ties by name: the one-instant case of `look_angles`."""
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask must be in [0, 90): {mask_deg}")
-    positions = _propagate_catalog(catalog, t)
-    lat = math.radians(site.latitude_deg)
-    lon = math.radians(site.longitude_deg)
-    d = positions - site.ecef_km()
-    east = -d[:, 0] * math.sin(lon) + d[:, 1] * math.cos(lon)
-    north = (-d[:, 0] * math.sin(lat) * math.cos(lon)
-             - d[:, 1] * math.sin(lat) * math.sin(lon)
-             + d[:, 2] * math.cos(lat))
-    up = (d[:, 0] * math.cos(lat) * math.cos(lon)
-          + d[:, 1] * math.cos(lat) * math.sin(lon)
-          + d[:, 2] * math.sin(lat))
-    rng = np.linalg.norm(d, axis=1)
-    elevation = np.degrees(np.arcsin(np.clip(up / rng, -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(east, north)) % 360.0
-
+    azimuth, elevation, rng = (a[0] for a in look_angles(site, catalog, [t]))
     out = [
         VisibleSat(catalog[i].name, float(azimuth[i]), float(elevation[i]), float(rng[i]))
         for i in np.nonzero(elevation >= mask_deg)[0]

@@ -226,6 +226,15 @@ def _error(kind: str, message: str, **extra) -> dict:
     return {"ok": False, "error": {"kind": kind, "message": message, **extra}}
 
 
+def _completion_order(key: tuple) -> tuple:
+    """Sort key of a completion (experiment_id, node_id, run_start_ms,
+    state): a manifest's run_start_ms may be absent (None), a number or a
+    string, so those rank in that order before values are compared."""
+    experiment_id, node_id, start, state = key
+    rank = 0 if start is None else 2 if isinstance(start, str) else 1
+    return experiment_id, node_id, rank, start, state
+
+
 class Orchestrator:
     """Single-process coordinator; all entry points are thread-safe."""
 
@@ -428,7 +437,8 @@ class Orchestrator:
                 "next_seq": dict(sorted(self._next_seq.items())),
                 "nodes": {nid: rec.last_heartbeat_ms
                           for nid, rec in sorted(self._nodes.items())},
-                "completions": sorted(list(k) for k in self._seen_completions),
+                "completions": [list(k) for k in sorted(self._seen_completions,
+                                                         key=_completion_order)],
             }
 
     def _apply(self, entry: dict) -> None:

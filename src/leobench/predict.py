@@ -17,6 +17,19 @@ Reference models, deliberately simple and fully deterministic:
 Models serialize to versioned JSON with coefficients/trees spelled out, so
 files survive refactors and can be inspected by hand.
 
+A dataset's feature rows are built in one batch, and `assemble_features`
+is the one-row case of the same builder. A row holds the same bits as a
+row built alone, because:
+
+  * the geometry of every row comes from `orbital.look_angles`, which does
+    the same elementwise operations as `visible_sats` and computes angles
+    only where up >= 0 (see `orbital`);
+  * each row's satellites are those at or above the 25 degree mask, ordered
+    by (-elevation, sat_id) as `visible_sats` orders them: one stable
+    `lexsort` over (row, -elevation, name rank), in which satellites that
+    share a name keep catalog order;
+  * every other column holds the same Python value converted to float.
+
 The tree fit is the exact greedy search with presorted columns (as in
 SLIQ and XGBoost's column blocks), and it builds the same trees, bit for
 bit, as one stable argsort per column per node would. Three invariants
@@ -39,13 +52,14 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .orbital import GroundSite, visible_sats
-from .telemetry import InsufficientHistory, TelemetryWindow
+from .orbital import DEFAULT_ELEVATION_MASK_DEG, look_angles
+from .telemetry import METRIC_GETTERS, InsufficientHistory, TelemetryWindow
 from .triggers import OrbitalContext
 
 log = logging.getLogger(__name__)
@@ -91,6 +105,53 @@ class FeatureVector:
         return np.asarray(self.values, dtype=float)
 
 
+# Elements (instants x satellites) of geometry per `look_angles` call: rows
+# go through it in blocks, so its temporaries stay small however long the
+# trace is.
+_GEOMETRY_BLOCK_ELEMENTS = 16384
+
+
+def _feature_rows(orbital: OrbitalContext, ts_ms: list[int], lags: list,
+                  term: list, k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Feature names, the feature matrix with one row per instant of ts_ms,
+    and each row's number of visible satellites.
+
+    lags[i] holds row i's h1..h5 and term[i] its terminal (az, el).
+    Satellites fill the slots by descending elevation, ties by name; empty
+    slots hold the -1 sentinel.
+    """
+    names = feature_names(k)
+    sat_cols, term_col = 3, 3 + 3 * k
+    X = np.empty((len(ts_ms), len(names)))
+    X[:, 0] = orbital.site.latitude_deg
+    X[:, 1] = orbital.site.longitude_deg
+    X[:, 2] = orbital.site.altitude_m
+    X[:, sat_cols:term_col] = PAD_SENTINEL
+    X[:, term_col:term_col + 2] = np.asarray(term, dtype=float).reshape(-1, 2)
+    X[:, term_col + 2:-1] = np.asarray(lags, dtype=float).reshape(-1, HISTORY_LAGS)
+    X[:, -1] = [float((t // 1000) % 86400) for t in ts_ms]
+
+    catalog = orbital.catalog
+    rank_of = {name: i for i, name in enumerate(sorted({r.name for r in catalog}))}
+    name_rank = np.array([rank_of[r.name] for r in catalog], dtype=np.intp)
+    times = [datetime.fromtimestamp(t / 1000.0, tz=timezone.utc) for t in ts_ms]
+    visible = np.zeros(len(ts_ms), dtype=np.intp)
+    block = max(1, _GEOMETRY_BLOCK_ELEMENTS // max(1, len(catalog)))
+    for lo in range(0, len(times), block):
+        az, el, rng = look_angles(orbital.site, catalog, times[lo:lo + block])
+        row, sat = np.nonzero(el >= DEFAULT_ELEVATION_MASK_DEG)
+        order = np.lexsort((name_rank[sat], -el[row, sat], row))
+        row, sat = row[order], sat[order]
+        count = np.bincount(row, minlength=len(el))
+        slot = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+        kept = slot < k
+        row, sat, col = row[kept], sat[kept], sat_cols + 3 * slot[kept]
+        for offset, values in enumerate((az, el, rng)):
+            X[lo + row, col + offset] = values[row, sat]
+        visible[lo:lo + len(el)] = count
+    return names, X, visible
+
+
 def assemble_features(window: TelemetryWindow,
                       orbital: OrbitalContext,
                       now_ms: int,
@@ -106,25 +167,11 @@ def assemble_features(window: TelemetryWindow,
     if len(history) < HISTORY_LAGS:
         raise InsufficientHistory(
             f"need {HISTORY_LAGS} contiguous {metric} values, have {len(history)}")
-    lags = list(reversed(history))  # h1 = most recent
-
-    t = datetime.fromtimestamp(now_ms / 1000.0, tz=timezone.utc)
-    vis = visible_sats(orbital.site, orbital.catalog, t)
-    values: list[float] = [orbital.site.latitude_deg, orbital.site.longitude_deg,
-                           orbital.site.altitude_m]
-    valid: list[bool] = []
-    for i in range(k):
-        if i < len(vis):
-            values += [vis[i].azimuth_deg, vis[i].elevation_deg, vis[i].range_km]
-            valid.append(True)
-        else:
-            values += [PAD_SENTINEL] * 3
-            valid.append(False)
     latest = window.latest
-    values += [latest.az_deg, latest.el_deg]
-    values += lags
-    values.append(float((now_ms // 1000) % 86400))
-    return FeatureVector(tuple(values), tuple(valid), feature_names(k))
+    names, X, visible = _feature_rows(orbital, [now_ms], [history[::-1]],
+                                      [(latest.az_deg, latest.el_deg)], k)
+    n_visible = int(visible[0])
+    return FeatureVector(tuple(X[0].tolist()), tuple(i < n_visible for i in range(k)), names)
 
 
 # --- datasets ------------------------------------------------------------
@@ -190,29 +237,33 @@ def dataset_from_trace(samples, orbital: OrbitalContext,
                        k: int = DEFAULT_TOP_K,
                        metric: str = "latency_ms") -> Dataset:
     """Replay a telemetry trace into supervised rows: features at t predict
-    the metric observed at t."""
-    from .telemetry import METRIC_GETTERS
+    the metric observed at t.
+
+    Samples without the metric are skipped. Each sample with it becomes a
+    row once five earlier ones have it: h1..h5 are their values, newest
+    first, and the terminal orientation is that of the newest of them.
+    """
     getter = METRIC_GETTERS[metric]
-    window = TelemetryWindow(capacity=HISTORY_LAGS + 1)
-    ts, targets, rows = [], [], []
-    names = feature_names(k)
+    history: deque = deque(maxlen=HISTORY_LAGS)
+    last = None
+    ts, targets, lags, term = [], [], [], []
     for s in samples:
-        target = getter(s)
-        if len(window) >= HISTORY_LAGS and target is not None:
-            try:
-                fv = assemble_features(window, orbital, s.ts_ms, k=k, metric=metric)
-            except InsufficientHistory:
-                fv = None
-            if fv is not None:
-                ts.append(s.ts_ms)
-                targets.append(target)
-                rows.append(fv.values)
-        if getter(s) is not None:
-            window.push(s)
-    if not rows:
+        value = getter(s)
+        if value is None:
+            continue
+        if last is not None and s.ts_ms <= last.ts_ms:
+            raise ValueError(f"out-of-order sample: {s.ts_ms} after {last.ts_ms}")
+        if len(history) == HISTORY_LAGS:
+            ts.append(s.ts_ms)
+            targets.append(value)
+            lags.append(list(reversed(history)))
+            term.append((last.az_deg, last.el_deg))
+        history.append(value)
+        last = s
+    if not ts:
         raise InsufficientHistory("trace too short to build any rows")
-    return Dataset(np.array(ts, dtype=np.int64), np.array(targets),
-                   np.array(rows, dtype=float), names)
+    names, X, _ = _feature_rows(orbital, ts, lags, term, k)
+    return Dataset(np.array(ts, dtype=np.int64), np.array(targets), X, names)
 
 
 # --- models --------------------------------------------------------------

@@ -180,7 +180,10 @@ class TerminalSim:
 
         gw_lat = self.site.latitude_deg + math.degrees(
             self.config.gateway_ground_km / EARTH_RADIUS_KM)
-        self._gateway = GroundSite(min(gw_lat, 89.0), self.site.longitude_deg)
+        gateway = GroundSite(min(gw_lat, 89.0), self.site.longitude_deg)
+        # both ends of the bent pipe are fixed: their positions are taken once
+        self._site_ecef = self.site.ecef_km()
+        self._gateway_ecef = gateway.ecef_km()
 
         self._start_ms: int | None = None
         self._last_ms: int | None = None
@@ -263,8 +266,8 @@ class TerminalSim:
     def _bent_pipe_rtt_ms(self, t_ms: int) -> float:
         t = datetime.fromtimestamp(t_ms / 1000.0, tz=timezone.utc)
         pos = propagate(self._serving, t)
-        d_user = float(np.linalg.norm(pos - self.site.ecef_km()))
-        d_gw = float(np.linalg.norm(pos - self._gateway.ecef_km()))
+        d_user = float(np.linalg.norm(pos - self._site_ecef))
+        d_gw = float(np.linalg.norm(pos - self._gateway_ecef))
         return 2.0 * (d_user + d_gw) / SPEED_OF_LIGHT_KM_S * 1000.0
 
     # -- stepping ---------------------------------------------------------

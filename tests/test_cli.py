@@ -310,6 +310,17 @@ def test_analyze_missing_input(tmp_path, capsys):
     assert stderr_error(capsys)["kind"] == "MissingFile"
 
 
+def stale_tle():
+    """One element set whose epoch is 8 days before the trace that
+    write_telemetry_jsonl starts at 1_700_000_000_000 ms (day 310.92592593
+    of 2023)."""
+    line1 = "1 44238U 19029D   23310.92592593  .00001234  00000-0  81000-4 0  999"
+    line2 = "2 44238  53.0551 123.4567 0001450  90.1234 270.0123 15.06391500 1234"
+    with_checksum = [ln + str(sum(int(ch) if ch.isdigit() else ch == "-" for ch in ln) % 10)
+                     for ln in (line1, line2)]
+    return "\n".join(["STALE-1"] + with_checksum) + "\n"
+
+
 def malformed_inputs(tmp_path):
     """Files each of which one analysis command cannot use."""
     (tmp_path / "all_lost.csv").write_text("ts_ms,rtt_ms,lost\n0,0,1\n1000,0,1\n")
@@ -328,6 +339,7 @@ def malformed_inputs(tmp_path):
     (tmp_path / "secret" / "n1").mkdir(parents=True)   # beside the store
     (tmp_path / "secret" / "n1" / "key.txt").write_text("x")
     write_telemetry_jsonl(tmp_path / "tele.jsonl", n=120)
+    (tmp_path / "stale.tle").write_text(stale_tle())
     (tmp_path / "traces").mkdir()
     (tmp_path / "traces" / "t.csv").write_text("ts_ms,kbps\n0,100\n")
 
@@ -341,6 +353,7 @@ def malformed_inputs(tmp_path):
     ("sweep --profile profile.csv", "BadInput"),
     ("predict eval --trace tele.jsonl --model model.json", "BadInput"),
     ("predict eval --trace tele.jsonl --model list.json", "BadInput"),
+    ("predict fit --trace tele.jsonl --tle stale.tle --out m.json", "BadInput"),
     ("analyze segments --input uncovered.csv --map list.json", "BadInput"),
     ("analyze segments --input uncovered.csv --map rule_list.json", "BadInput"),
     ("results fetch ../secret --store-root store --dest dest", "BadInput"),

@@ -15,7 +15,9 @@ from leobench.orbital import (
     MalformedTle,
     StaleEphemeris,
     TleRecord,
+    gmst_rad,
     load_catalog,
+    look_angles,
     parse_tle,
     propagate,
     propagate_eci,
@@ -178,6 +180,29 @@ def test_stale_ephemeris_guard():
     propagate(rec, rec.epoch + timedelta(days=6.9))  # inside the window
 
 
+def test_one_stale_ephemeris_rule_for_every_geometry_path():
+    """Exactly 7 days from an epoch passes and 7 days plus 1 s raises, for
+    one record, for visible_sats, and for a batch in which only one of two
+    epochs, or only one instant, is out of range."""
+    site = GroundSite(47.6, -122.3)
+    rec = shell_record()
+    catalog = _two_epoch_catalog()
+    early, late = catalog[0].epoch, catalog[-1].epoch
+    limit, past = timedelta(days=7), timedelta(days=7, seconds=1)
+    for edge in (limit, -limit):
+        propagate(rec, rec.epoch + edge)
+        visible_sats(site, [rec], rec.epoch + edge)
+    look_angles(site, catalog, [late - limit, early + limit])
+    for stale in (rec.epoch + past, rec.epoch - past):
+        with pytest.raises(StaleEphemeris, match="7.0 days from epoch"):
+            propagate(rec, stale)
+        with pytest.raises(StaleEphemeris, match="7.0 days from epoch"):
+            visible_sats(site, [rec], stale)
+    for times in ([early + past], [late - past], [early, early + past, late]):
+        with pytest.raises(StaleEphemeris, match="7.0 days from epoch"):
+            look_angles(site, catalog, times)
+
+
 # --- topocentric geometry ------------------------------------------------
 
 def test_zenith_and_nadir():
@@ -228,18 +253,64 @@ def brute_force_visible(site, catalog, t, mask):
     return out
 
 
+def zenith_record(site, t):
+    """A shell satellite straight above an equatorial site at t."""
+    mm = shell_record().mean_motion_rev_per_day
+    raan = math.degrees(gmst_rad(t)) + site.longitude_deg
+    return TleRecord("ZENITH", 53.0, raan % 360.0, 0.0, 0.0, 0.0, mm, t)
+
+
 def test_visible_sats_matches_brute_force():
-    catalog = synthetic_constellation()
-    site = GroundSite(47.6, -122.3)
-    t = catalog[0].epoch + timedelta(minutes=23)
-    fast = visible_sats(site, catalog, t, mask_deg=25.0)
-    slow = brute_force_visible(site, catalog, t, 25.0)
-    assert len(fast) == len(slow)
-    for got, want in zip(fast, slow):
-        assert got.sat_id == want[0]
-        assert got.azimuth_deg == pytest.approx(want[1], abs=1e-9)
-        assert got.elevation_deg == pytest.approx(want[2], abs=1e-9)
-        assert got.range_km == pytest.approx(want[3], abs=1e-6)
+    """At the default mask, at the horizon, and at 89.9 degrees, where only
+    a satellite straight overhead is left."""
+    for site, minutes, mask in ((GroundSite(47.6, -122.3), 23, 25.0),
+                                (GroundSite(47.6, -122.3), 23, 0.0),
+                                (GroundSite(0.0, 30.0), 0, 0.0),
+                                (GroundSite(0.0, 30.0), 0, 89.9)):
+        catalog = synthetic_constellation()
+        t = catalog[0].epoch + timedelta(minutes=minutes)
+        if site.latitude_deg == 0.0:
+            catalog.append(zenith_record(site, t))
+        fast = visible_sats(site, catalog, t, mask_deg=mask)
+        slow = brute_force_visible(site, catalog, t, mask)
+        assert fast
+        assert len(fast) == len(slow)
+        for got, want in zip(fast, slow):
+            assert got.sat_id == want[0]
+            assert got.azimuth_deg == pytest.approx(want[1], abs=1e-9)
+            assert got.elevation_deg == pytest.approx(want[2], abs=1e-9)
+            assert got.range_km == pytest.approx(want[3], abs=1e-6)
+
+
+def test_look_angles_are_nan_exactly_below_the_horizon():
+    site = GroundSite(-0.2, -78.5, 2850.0)
+    catalog = _two_epoch_catalog()
+    t = datetime(2026, 1, 2, 3, 0, tzinfo=timezone.utc)
+    az, el, rng = (a[0] for a in look_angles(site, catalog, [t]))
+    for i, rec in enumerate(catalog):
+        want_az, want_el, want_rng = topocentric(site, propagate(rec, t))
+        if want_el < 0.0:
+            assert np.isnan(az[i]) and np.isnan(el[i]) and np.isnan(rng[i])
+        else:
+            assert (az[i], el[i], rng[i]) == pytest.approx((want_az, want_el, want_rng),
+                                                           abs=1e-6)
+
+
+@pytest.mark.parametrize("site", [GroundSite(-0.2, -78.5, 2850.0),
+                                  GroundSite(90.0, 0.0), GroundSite(-90.0, 45.0)])
+def test_look_angles_batch_equals_one_instant_at_a_time(site):
+    """Every (instant, satellite) pair of a batch holds the same bits as a
+    call for its instant alone."""
+    catalog = _two_epoch_catalog()
+    start = datetime(2026, 1, 2, 3, 0, tzinfo=timezone.utc)
+    times = [start + timedelta(seconds=97.5 * i) for i in range(25)]
+    batch = look_angles(site, catalog, times)
+    assert all(a.shape == (len(times), len(catalog)) for a in batch)
+    for i, t in enumerate(times):
+        one = look_angles(site, catalog, [t])
+        for got, want in zip(batch, one):
+            assert got[i].tobytes() == want[0].tobytes()
+    assert [a.shape for a in look_angles(site, catalog, [])] == [(0, len(catalog))] * 3
 
 
 def test_visible_sats_sorted_and_masked():

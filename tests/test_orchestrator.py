@@ -363,6 +363,30 @@ def run_script(orch):
     orch.record_completion("a", "n2", {"state": "COMPLETED", "run_start_ms": 20})
 
 
+def test_completions_of_mixed_start_types_dump_and_replay(tmp_path):
+    """A run_start_ms that is absent, a number or a string sorts by kind
+    first, so to_state() never compares None with an int; a restore from
+    the log dumps the same state."""
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    orch.submit_experiment(make_spec("a", nodes=("n1", "n2")))
+    for node, start in (("n1", 5), ("n1", None), ("n1", "7"), ("n1", 2.5),
+                        ("n2", None)):
+        manifest = {"state": "COMPLETED"}
+        if start is not None:
+            manifest["run_start_ms"] = start
+        assert orch.record_completion("a", node, manifest)["duplicate"] is False
+    want = orch.to_state()
+    assert want["completions"] == [
+        ["a", "n1", None, "COMPLETED"], ["a", "n1", 2.5, "COMPLETED"],
+        ["a", "n1", 5, "COMPLETED"], ["a", "n1", "7", "COMPLETED"],
+        ["a", "n2", None, "COMPLETED"]]
+    orch.close()
+    restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
+    assert restored.to_state() == want
+    restored.close()
+
+
 def test_log_replay_reconstructs_identical_state(tmp_path):
     log = tmp_path / "orch.jsonl"
     orch = make_orch(log_path=log)
@@ -476,7 +500,8 @@ OPS = st.lists(st.one_of(
               st.integers(0, 3),          # which run, if there is any
               st.sampled_from(["COMPLETED", "FAILED", "KILLED", "PREEMPTED",
                                "RUNNING"]),
-              st.integers(0, 2)),         # run_start_ms: repeats are duplicates
+              st.one_of(st.integers(0, 2), st.none(), st.just("1"))),
+              # run_start_ms: repeats are duplicates; absent, number or string
     st.just(("restart",)),
 ), max_size=40)
 

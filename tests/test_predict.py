@@ -1,7 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,12 @@ from leobench.orbital import (
     GroundSite,
     TleRecord,
     gmst_rad,
+    synthetic_constellation,
+    visible_sats,
 )
 from leobench.predict import (
+    HISTORY_LAGS,
+    PAD_SENTINEL,
     Dataset,
     DegenerateDesign,
     EvalReport,
@@ -34,7 +39,7 @@ from leobench.predict import (
     predict_batch,
     save_model,
 )
-from leobench.telemetry import InsufficientHistory, TelemetryWindow
+from leobench.telemetry import METRIC_GETTERS, InsufficientHistory, TelemetryWindow
 from leobench.terminal_sim import TelemetrySample, TerminalModelConfig, TerminalSim
 from leobench.triggers import OrbitalContext
 
@@ -95,6 +100,20 @@ def test_assembly_needs_history():
     with pytest.raises(InsufficientHistory):
         assemble_features(history_window([30, 31, 32]), ctx,
                           int(EPOCH.timestamp() * 1000))
+
+
+def test_dataset_rejects_out_of_order_samples():
+    """As a TelemetryWindow does, whether or not the sample makes a row;
+    a sample without the metric is not checked."""
+    ctx = OrbitalContext(GroundSite(0.0, 0.0), overhead_catalog())
+    now = int(EPOCH.timestamp() * 1000)
+    samples = history_window([30, 31, 32, 33, 34, 35], t0=now).samples()
+    gap = TelemetrySample(now - 9000, None, None, 1.0, 65.0, 0, 0, "OUTAGE")
+    assert len(dataset_from_trace(samples[:3] + [gap] + samples[3:], ctx)) == 1
+    for at in (2, 6):
+        late = TelemetrySample(samples[at - 1].ts_ms, 40.0, 0.001, 1.0, 65.0, 0, 0, "ACTIVE")
+        with pytest.raises(ValueError, match="out-of-order sample"):
+            dataset_from_trace(samples[:at] + [late] + samples[at:], ctx)
 
 
 # --- datasets ------------------------------------------------------------
@@ -422,6 +441,145 @@ def test_predict_golden_digest(case):
 
 
 # --- fast paths against the scalar reference ----------------------------
+
+def _reference_dataset(samples, orbital, k, metric):
+    """dataset_from_trace as one visible_sats call per row, each row built
+    as assemble_features used to build it: the reference the batched
+    build must match bit for bit."""
+    getter = METRIC_GETTERS[metric]
+    window = TelemetryWindow(capacity=HISTORY_LAGS + 1)
+    ts, targets, rows = [], [], []
+    for s in samples:
+        target = getter(s)
+        if len(window) >= HISTORY_LAGS and target is not None:
+            lags = list(reversed(window.last_values(metric, HISTORY_LAGS)))
+            t = datetime.fromtimestamp(s.ts_ms / 1000.0, tz=timezone.utc)
+            vis = visible_sats(orbital.site, orbital.catalog, t)
+            values = [orbital.site.latitude_deg, orbital.site.longitude_deg,
+                      orbital.site.altitude_m]
+            for i in range(k):
+                if i < len(vis):
+                    values += [vis[i].azimuth_deg, vis[i].elevation_deg, vis[i].range_km]
+                else:
+                    values += [PAD_SENTINEL] * 3
+            values += [window.latest.az_deg, window.latest.el_deg]
+            values += lags
+            values.append(float((s.ts_ms // 1000) % 86400))
+            fv = assemble_features(window, orbital, s.ts_ms, k=k, metric=metric)
+            assert np.array(fv.values).tobytes() == np.array(values, dtype=float).tobytes()
+            assert fv.sat_slot_valid == tuple(i < len(vis) for i in range(k))
+            ts.append(s.ts_ms)
+            targets.append(target)
+            rows.append(values)
+        if target is not None:
+            window.push(s)
+    if not rows:
+        raise InsufficientHistory("trace too short to build any rows")
+    return Dataset(np.array(ts, dtype=np.int64), np.array(targets),
+                   np.array(rows, dtype=float), feature_names(k))
+
+
+def _two_epoch_catalog():
+    early = synthetic_constellation(epoch=datetime(2026, 1, 1, tzinfo=timezone.utc))
+    late = synthetic_constellation(epoch=datetime(2026, 1, 2, 12, tzinfo=timezone.utc),
+                                   phase_offset_deg=7.0)
+    return early[:220] + late[220:]
+
+
+def _twins_catalog():
+    """Each even record twice under another name and each odd one twice
+    under its own, so equal elevations are broken by name and, for equal
+    names, by catalog order."""
+    shell = synthetic_constellation()
+    twins = [dataclasses.replace(r, name="#" + r.name) if i % 2 == 0 else r
+             for i, r in enumerate(shell)]
+    return shell + twins
+
+
+CATALOGS = {"shell": synthetic_constellation(), "two_epochs": _two_epoch_catalog(),
+            "twins": _twins_catalog()}
+SITES = [GroundSite(90.0, 0.0), GroundSite(-90.0, 45.0), GroundSite(0.0, 0.0),
+         GroundSite(0.0, -78.5, 2850.0), GroundSite(47.6, -122.3)]
+
+
+@st.composite
+def traces(draw):
+    """A trace with gaps in one metric or another, on a catalog and a site,
+    over a day and a half from the earliest epoch."""
+    catalog = CATALOGS[draw(st.sampled_from(sorted(CATALOGS)))]
+    ts = int(datetime(2026, 1, 1, tzinfo=timezone.utc).timestamp() * 1000)
+    ts += draw(st.integers(0, 36 * 3600 * 1000))
+    samples = []
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.sampled_from([1, 999, 1000, 1000, 1000, 60_000, 3_600_000]))
+        latency = draw(st.one_of(st.none(), st.integers(1, 400), st.floats(0.1, 400.0)))
+        drop = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+        samples.append(TelemetrySample(ts, latency, drop, draw(st.floats(0.0, 360.0)),
+                                       draw(st.floats(-90.0, 90.0)), 0, 0, "ACTIVE"))
+    return (OrbitalContext(draw(st.sampled_from(SITES)), catalog), samples,
+            draw(st.integers(1, 4) | st.integers(5, 24)),
+            draw(st.sampled_from(sorted(METRIC_GETTERS))),
+            draw(st.integers(1, 3 * len(catalog))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_top_k_slots_break_ties_by_name_then_catalog_order(data):
+    """Equal elevations, which real geometry rarely gives, order the slots
+    by name and equal names by catalog order, as visible_sats orders them;
+    the geometry is drawn, with distinct azimuths to show the order."""
+    n_rows, n_sats = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    names = data.draw(st.lists(st.sampled_from("ABC"), min_size=n_sats, max_size=n_sats))
+    el = np.array(data.draw(st.lists(
+        st.sampled_from([np.nan, 0.0, 24.9, 25.0, 40.0, 60.0]),
+        min_size=n_rows * n_sats, max_size=n_rows * n_sats))).reshape(n_rows, n_sats)
+    az = np.arange(el.size, dtype=float).reshape(el.shape)
+    rng = az + 1000.0
+    k = data.draw(st.integers(1, n_sats + 1))
+    block = data.draw(st.integers(1, 2 * n_sats))
+    ts = [T0 + 1000 * i for i in range(n_rows)]
+    row_of = {datetime.fromtimestamp(t / 1000.0, tz=timezone.utc): i for i, t in enumerate(ts)}
+
+    def drawn_look_angles(site, catalog, times):
+        rows = [row_of[t] for t in times]
+        return az[rows], el[rows], rng[rows]
+
+    catalog = [dataclasses.replace(overhead_catalog()[0], name=name) for name in names]
+    orbital = OrbitalContext(GroundSite(0.0, 0.0), catalog)
+    with mock.patch.object(predict_module, "look_angles", drawn_look_angles), \
+            mock.patch.object(predict_module, "_GEOMETRY_BLOCK_ELEMENTS", block):
+        _, X, visible = predict_module._feature_rows(
+            orbital, ts, [[1.0] * HISTORY_LAGS] * n_rows, [(0.0, 0.0)] * n_rows, k)
+    for r in range(n_rows):
+        seen = sorted(((names[j], az[r, j], el[r, j], rng[r, j])
+                       for j in range(n_sats) if el[r, j] >= 25.0),
+                      key=lambda v: (-v[2], v[0]))
+        slots = [v for sat in seen[:k] for v in sat[1:]]
+        slots += [PAD_SENTINEL] * (3 * k - len(slots))
+        assert X[r, 3:3 + 3 * k].tolist() == slots
+        assert visible[r] == len(seen)
+
+
+def _dataset_bits(build):
+    try:
+        ds = build()
+    except InsufficientHistory:
+        return None
+    return (ds.feature_names, ds.ts_ms.tobytes(), ds.targets.dtype, ds.targets.tobytes(),
+            ds.features.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces())
+def test_batched_dataset_matches_per_row_reference(case):
+    """The same rows, bit for bit, as one visible_sats call per row, with
+    metric gaps, k from 1 past the visible count, two epochs, twin
+    satellites, sites at the poles and the equator, and geometry blocks
+    from one instant to several."""
+    orbital, samples, k, metric, block = case
+    with mock.patch.object(predict_module, "_GEOMETRY_BLOCK_ELEMENTS", block):
+        got = _dataset_bits(lambda: dataset_from_trace(samples, orbital, k=k, metric=metric))
+    assert got == _dataset_bits(lambda: _reference_dataset(samples, orbital, k, metric))
 
 def _reference_best_split(X, residuals, min_leaf):
     """The split search as one stable argsort per column per node: the
