@@ -364,6 +364,7 @@ def look_angles(site: GroundSite,
     up = (d0 * math.cos(lat) * math.cos(lon)
           + d1 * math.cos(lat) * math.sin(lon)
           + d2 * math.sin(lat))
+    # range and angles only at or above the horizon; no mask admits the rest
     above = (up >= 0.0).ravel().nonzero()[0]
     d = np.empty((len(above), 3))
     for j, dj in enumerate((d0, d1, d2)):
