@@ -15,9 +15,14 @@ going) and restarted with its remaining time once the link is quiet again.
 
 Runs execute in a dedicated working directory, process-sandboxed only;
 artifacts are uploaded to the results store and then deleted locally, with
-retained local copies and backoff retries if the store is down. A restart
-marks any orphaned RUNNING run FAILED and tells the orchestrator, and queues
-the upload again for every sealed run whose artifacts are still on disk.
+retained local copies and backoff retries if the store is down.
+
+Durable state is a `journal`, `_state/journal.jsonl`: RUNNING at each start
+and resume, PREEMPTED, and `sealed` with the manifest. A restart acts on
+each run's last entry: a sealed run whose workdir is still here is uploaded
+again; a RUNNING run died with the old process and is reported FAILED; every
+other workdir is removed. Replaying twice is harmless, as the orchestrator
+drops repeated completions. The file is deleted whenever nothing is pending.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .clocks import WallClock
-from .orchestrator import ExperimentSpec
+from .journal import Journal
+from .orchestrator import _ID_RE, ExperimentSpec
 from .store import ResultsStore, UploadFailure
 from .telemetry import ConsumptionTracker, TelemetryWindow, UserTrafficDetector
 from .terminal_sim import (TelemetryPublisher, TelemetrySample, TerminalModelConfig,
@@ -47,6 +53,7 @@ COMPLETED = "COMPLETED"
 FAILED = "FAILED"
 KILLED = "KILLED"
 PREEMPTED = "PREEMPTED"
+SEALED = "sealed"   # journal entry of a run whose artifacts are written
 
 LEGAL_TRANSITIONS = {
     PENDING: {RUNNING, FAILED},
@@ -83,7 +90,10 @@ DEFAULT_TARGET = "142.251.33.14"
 
 # terminal counters carry header overhead on the downlink and a thin ack
 # stream on the uplink, so the tracker must expect offered * this factor
-DEFAULT_ACCOUNTING_FACTOR = (1.0 + 0.14) * 1.03
+ACCOUNTING_FACTOR = (1.0 + 0.14) * 1.03
+
+# wait before each retry of a failed upload; the last one repeats
+UPLOAD_BACKOFF_S = (1.0, 2.0, 5.0, 10.0, 30.0)
 
 
 class IllegalTransition(RuntimeError):
@@ -203,11 +213,7 @@ class SocketSource:
 class Agent:
     def __init__(self, node_id: str, client, store: ResultsStore, source,
                  clock=None, workdir=None,
-                 heartbeat_every_s: float = 10.0,
-                 traffic_threshold_bps: float = 2e6,
-                 traffic_hold_s: int = 2,
-                 accounting_factor: float = DEFAULT_ACCOUNTING_FACTOR,
-                 upload_backoff_s: tuple = (1.0, 2.0, 5.0, 10.0, 30.0)):
+                 heartbeat_every_s: float = 10.0):
         if workdir is None:
             import tempfile
             workdir = tempfile.mkdtemp(prefix=f"leobench-{node_id}-")
@@ -218,18 +224,15 @@ class Agent:
         self.clock = clock if clock is not None else WallClock()
         self.workdir = Path(workdir)
         self.heartbeat_every_s = float(heartbeat_every_s)
-        self.accounting_factor = float(accounting_factor)
-        self.upload_backoff_s = tuple(upload_backoff_s)
 
         self.window = TelemetryWindow(capacity=600)
         self.tracker = ConsumptionTracker()
-        self.detector = UserTrafficDetector(traffic_threshold_bps, traffic_hold_s)
+        self.detector = UserTrafficDetector()
 
         self._lock = threading.RLock()
         self._specs: dict[str, ExperimentSpec] = {}
         self._bindings: dict[str, BindingState] = {}
         self._runs: dict[str, LocalRun] = {}
-        self._run_order: list[str] = []
         self._opened_windows: set[tuple[str, int]] = set()
         self._seen_seqs: set[int] = set()
         self._ack_queue: set[int] = set()
@@ -241,45 +244,36 @@ class Agent:
         self.user_traffic_active = False
         self.preemption_log: list[tuple[int, str]] = []   # (ts_ms, run_id)
 
-        self._state_dir = self.workdir / "_state"
-        self._state_dir.mkdir(parents=True, exist_ok=True)
-        self._recover_orphans()
+        (self.workdir / "_state").mkdir(parents=True, exist_ok=True)
+        self._recover()
 
     # --- crash recovery ---------------------------------------------------
 
-    def _recover_orphans(self) -> None:
-        """A fresh start means any run recorded as RUNNING died with the
-        previous process; mark it FAILED and tell the orchestrator. A sealed
-        run whose workdir is still here was never stored; upload it again."""
-        for path in sorted(self._state_dir.glob("*.json")):
-            try:
-                obj = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            workdir = self.workdir / obj["run_id"]
-            if obj.get("manifest") is not None and workdir.is_dir():
-                self._queue_upload(obj["experiment_id"], obj["run_start_ms"],
-                                   workdir, obj["run_id"], obj["manifest"], 0)
-            elif obj.get("state") == RUNNING:
-                obj["state"] = FAILED
-                obj["orphaned"] = True
-                path.write_text(json.dumps(obj, sort_keys=True))
-                self._notices.append({
-                    "type": "COMPLETE",
-                    "experiment_id": obj["experiment_id"],
-                    "node_id": self.node_id,
-                    "manifest": {"state": FAILED, "orphaned": True,
-                                 "run_start_ms": obj.get("run_start_ms")},
-                })
+    def _recover(self) -> None:   # by the rules in the module docstring
+        last: dict[str, dict] = {}
 
-    def _write_run_state(self, run: LocalRun, manifest: dict | None = None) -> None:
-        obj = {"run_id": run.run_id, "experiment_id": run.spec.id,
-               "node_id": self.node_id, "kind": run.spec.kind,
-               "state": run.state, "run_start_ms": run.start_ms}
-        if manifest is not None:
-            obj["manifest"] = manifest
-        (self._state_dir / f"{run.run_id}.json").write_text(
-            json.dumps(obj, sort_keys=True))
+        def note(entry: dict) -> None:
+            if entry["op"] not in (RUNNING, PREEMPTED, SEALED) or not \
+                    all(_ID_RE.fullmatch(entry[k]) for k in ("run_id", "experiment_id")):
+                raise ValueError(f"not a run entry: {entry!r}")
+            last[entry["run_id"]] = entry
+
+        self._journal = Journal(self.workdir / "_state" / "journal.jsonl", note)
+        for run_id, entry in last.items():
+            workdir = self.workdir / run_id
+            if entry["op"] == SEALED and workdir.is_dir():
+                self._uploads.append({**entry, "attempts": 0, "next_ms": 0})
+                continue
+            if entry["op"] == RUNNING:
+                self._report(entry["experiment_id"], {"state": FAILED, "orphaned": True,
+                                                      "run_start_ms": entry["run_start_ms"]})
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    def _journal_append(self, op: str, run: LocalRun, **extra) -> dict:
+        entry = {"op": op, "run_id": run.run_id, "experiment_id": run.spec.id,
+                 "run_start_ms": run.start_ms, **extra}
+        self._journal.append(entry)
+        return entry
 
     # --- main loop --------------------------------------------------------
 
@@ -288,6 +282,9 @@ class Agent:
         with self._lock:
             self._flush_notices()
             self._process_uploads(now)
+            if not (self._uploads or self._notices or any(
+                    r.active and r.start_ms is not None for r in self._runs.values())):
+                self._journal.remove()   # no entry is needed to recover
             sample = self.source.sample(now)
             if sample is not None:
                 self._ingest(sample)
@@ -302,16 +299,13 @@ class Agent:
         return sample
 
     def run_forever(self, tick_interval_s: float = 1.0,
-                    stop_event: threading.Event | None = None,
-                    max_ticks: int | None = None) -> int:
-        n = 0
+                    stop_event: threading.Event | None = None) -> None:
         while stop_event is None or not stop_event.is_set():
             self.tick()
-            n += 1
-            if max_ticks is not None and n >= max_ticks:
-                break
             self.clock.sleep(tick_interval_s)
-        return n
+
+    def close(self) -> None:
+        self._journal.close()
 
     # --- telemetry and scavenger ------------------------------------------
 
@@ -324,7 +318,7 @@ class Agent:
         except ValueError:
             pass
         delta = self.tracker.push(
-            sample, self._offered_total_bps * self.accounting_factor)
+            sample, self._offered_total_bps * ACCOUNTING_FACTOR)
         if delta is None:
             return
         event = self.detector.update(delta)
@@ -354,19 +348,15 @@ class Agent:
         run.remaining_ms = max(run.end_ms - now, 0) if run.end_ms else 0
         run.transition(PREEMPTED)
         run.stdout_lines.append(f"preempted at {now} for user traffic")
-        self._write_run_state(run)
+        self._journal_append(PREEMPTED, run)
         self.preemption_log.append((now, run.run_id))
         self._recompute_offered(now)
-        self._notices.append({
-            "type": "COMPLETE", "experiment_id": run.spec.id,
-            "node_id": self.node_id,
-            "manifest": {"state": PREEMPTED, "run_start_ms": run.start_ms},
-        })
+        self._report(run.spec.id, {"state": PREEMPTED, "run_start_ms": run.start_ms})
 
     # --- run lifecycle ----------------------------------------------------
 
     def _iter_runs(self):
-        return [self._runs[rid] for rid in self._run_order]
+        return list(self._runs.values())
 
     def _overhead_running(self) -> bool:
         return any(r.state == RUNNING and r.spec.overhead == "OVERHEAD"
@@ -384,7 +374,6 @@ class Agent:
                        node_id=self.node_id, origin=origin,
                        duration_ms=int(duration_ms), window=window)
         self._runs[run.run_id] = run
-        self._run_order.append(run.run_id)
         return run
 
     def _open_windows(self, now: int) -> None:
@@ -426,6 +415,8 @@ class Agent:
         if not resuming:
             run.start_ms = now
             run.workdir = self.workdir / run.run_id
+            # journaled first, so a restart finds every workdir made
+            self._journal_append(RUNNING, run)
             run.workdir.mkdir(parents=True, exist_ok=True)
             seed = zlib.crc32(f"{self.node_id}/{run.spec.id}".encode())
             run.rng = np.random.default_rng(seed ^ now)
@@ -438,6 +429,7 @@ class Agent:
         else:
             run.end_ms = now + run.remaining_ms
             run.remaining_ms = None
+            self._journal_append(RUNNING, run)
         if run.spec.kind == "CUSTOM":
             try:
                 self._launch_custom(run)
@@ -449,7 +441,6 @@ class Agent:
         run.transition(RUNNING)
         run.stdout_lines.append(
             f"{'resumed' if resuming else 'started'} {run.spec.kind} at {now}")
-        self._write_run_state(run)
         if run.spec.kind == "BULK_FLOW":
             run.offered_bps = float(run.spec.params.get("rate_bps", 4e6))
             self._recompute_offered(now)
@@ -523,20 +514,12 @@ class Agent:
             "run_start_ms": run.start_ms, "run_end_ms": now,
             "row_count": len(run.rows), "data_files": data_files,
         }
-        # the manifest in the state file lets a restart finish the upload
-        self._write_run_state(run, manifest)
-        self._queue_upload(run.spec.id, run.start_ms, run.workdir, run.run_id,
-                           manifest, now)
+        # the manifest in the journal lets a restart finish the upload
+        sealed = self._journal_append(SEALED, run, manifest=manifest)
+        self._uploads.append({**sealed, "attempts": 0, "next_ms": now})
         self._process_uploads(now)
 
     # --- uploads and notices ----------------------------------------------
-
-    def _queue_upload(self, experiment_id: str, start_ms: int, workdir: Path,
-                      run_id: str, manifest: dict, due_ms: int) -> None:
-        self._uploads.append({"experiment_id": experiment_id,
-                              "start_ms": start_ms, "workdir": workdir,
-                              "run_id": run_id, "manifest": manifest,
-                              "attempts": 0, "next_ms": due_ms})
 
     def _process_uploads(self, now: int) -> None:
         remaining = []
@@ -544,25 +527,24 @@ class Agent:
             if now < item["next_ms"]:
                 remaining.append(item)
                 continue
+            workdir = self.workdir / item["run_id"]
             try:
                 self.store.upload(item["experiment_id"], self.node_id,
-                                  item["start_ms"], item["workdir"],
-                                  item["manifest"])
+                                  item["run_start_ms"], workdir, item["manifest"])
             except UploadFailure:
                 item["attempts"] += 1
-                idx = min(item["attempts"] - 1, len(self.upload_backoff_s) - 1)
-                item["next_ms"] = now + int(self.upload_backoff_s[idx] * 1000)
+                idx = min(item["attempts"] - 1, len(UPLOAD_BACKOFF_S) - 1)
+                item["next_ms"] = now + int(UPLOAD_BACKOFF_S[idx] * 1000)
                 remaining.append(item)
                 continue
-            shutil.rmtree(item["workdir"], ignore_errors=True)
-            state_file = self._state_dir / f"{item['run_id']}.json"
-            if state_file.exists():
-                state_file.unlink()
-            self._notices.append({
-                "type": "COMPLETE", "experiment_id": item["experiment_id"],
-                "node_id": self.node_id, "manifest": item["manifest"],
-            })
+            shutil.rmtree(workdir, ignore_errors=True)
+            self._report(item["experiment_id"], item["manifest"])
         self._uploads = remaining
+
+    def _report(self, experiment_id: str, manifest: dict) -> None:
+        """Queue a completion for the orchestrator, sent until it is taken."""
+        self._notices.append({"type": "COMPLETE", "experiment_id": experiment_id,
+                              "node_id": self.node_id, "manifest": manifest})
 
     def _flush_notices(self) -> None:
         remaining = []

@@ -324,6 +324,7 @@ def cmd_agent(args, cfg: CliConfig) -> int:
         agent.run_forever(tick_interval_s=args.tick_interval_s, stop_event=stop)
     except KeyboardInterrupt:
         pass
+    agent.close()
     return 0
 
 

@@ -16,27 +16,22 @@ A rejected request is answered with ``{"ok": false, "error": {"kind": ...,
 that is not JSON, not a JSON object, or lacks a well-formed field gets
 BadMessage.
 
-Every mutating call is validated, then appended as a numbered entry to a
-JSONL log, then applied. The log is the only durable state: opening an
-existing log replays it from an empty state, which must reconstruct
-identical tables (tests hold the API to that), and then keeps appending to
-it. Replay streams the file and is strict: entries are numbered 1, 2, ...
-with no gap or repeat; a final line with no newline is an append torn by a
-crash and is cut off; any other line that does not parse or apply, or that
-breaks the numbering, raises ValueError naming path:line.
+Every mutating call is validated, then appended to a log in the `journal`
+format, then applied. The log is the only durable state: opening an existing
+log replays it by `journal`'s rules from an empty state, which must rebuild
+identical tables (tests hold the API to that), then keeps appending to it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import socket
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .clocks import WallClock
+from .journal import Journal
 from .triggers import TriggerBinding, TriggerSyntaxError, UnknownMetric
 
 EXPERIMENT_KINDS = ("PING", "HPING", "TRACEROUTE", "BULK_FLOW", "CUSTOM")
@@ -44,6 +39,8 @@ OVERHEAD_CLASSES = ("OVERHEAD", "NO_OVERHEAD")
 # orchestrator-side view of a run; agents report the same names
 RUN_STATES = ("SCHEDULED", "RUNNING", "COMPLETED", "FAILED", "KILLED", "PREEMPTED")
 TERMINAL_STATES = ("COMPLETED", "FAILED", "KILLED", "PREEMPTED")
+
+MAX_REQUEUES = 1   # times a PREEMPTED run is re-enqueued before it sticks
 
 HEALTHY = "HEALTHY"
 STALE = "STALE"
@@ -240,12 +237,11 @@ class Orchestrator:
 
     def __init__(self, node_ids, clock=None,
                  heartbeat_interval_s: float = 10.0,
-                 log_path=None, max_requeues: int = 1):
+                 log_path=None):
         """With `log_path`, an existing log is replayed first and new
         entries continue its numbering."""
         self.clock = clock if clock is not None else WallClock()
         self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.max_requeues = int(max_requeues)
         self._lock = threading.RLock()
         self._nodes: dict[str, NodeRecord] = {
             nid: NodeRecord(nid) for nid in node_ids}
@@ -254,8 +250,7 @@ class Orchestrator:
         self._pending: dict[str, list[dict]] = {nid: [] for nid in node_ids}
         self._next_seq: dict[str, int] = {nid: 1 for nid in node_ids}
         self._seen_completions: set[tuple] = set()
-        self._log_n = 0
-        self._log_file = self._replay(Path(log_path)) if log_path else None
+        self._journal = Journal(log_path, self._apply) if log_path else None
 
     # --- submission -------------------------------------------------------
 
@@ -377,7 +372,7 @@ class Orchestrator:
         rec = self._runs[(experiment_id, node_id)]
         rec.manifest = dict(manifest)
         requeued = False
-        if state == "PREEMPTED" and rec.requeues < self.max_requeues:
+        if state == "PREEMPTED" and rec.requeues < MAX_REQUEUES:
             rec.requeues += 1
             rec.state = "SCHEDULED"
             self._enqueue(node_id, experiment_id)
@@ -418,10 +413,8 @@ class Orchestrator:
     # --- persistence ------------------------------------------------------
 
     def _append_log(self, entry: dict) -> None:
-        self._log_n += 1
-        entry = {"n": self._log_n, **entry}
-        if self._log_file is not None:
-            self._log_file.write(json.dumps(entry, sort_keys=True) + "\n")
+        if self._journal is not None:
+            self._journal.append(entry)
 
     def to_state(self) -> dict:
         """Canonical JSON-friendly dump of every table, for replay-identity
@@ -444,7 +437,11 @@ class Orchestrator:
     def _apply(self, entry: dict) -> None:
         op = entry["op"]
         if op == "submit":
-            self._apply_submit(ExperimentSpec.from_json(entry["spec"]))
+            try:
+                spec = ExperimentSpec.from_json(entry["spec"])
+            except OrchestratorError as exc:
+                raise ValueError(f"{type(exc).__name__}: {exc}") from None
+            self._apply_submit(spec)
         elif op == "heartbeat":
             self._apply_heartbeat(entry)
         elif op == "complete":
@@ -453,40 +450,15 @@ class Orchestrator:
         else:
             raise ValueError(f"unknown log op {op!r}")
 
-    def _replay(self, path: Path):
-        """Apply every entry of the log at `path`, cut a torn final line,
-        and return the log opened for appending."""
-        end = 0   # byte offset just past the last complete line
-        if path.exists():
-            with open(path, "rb") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.endswith(b"\n"):
-                        break
-                    try:
-                        entry = json.loads(line)
-                        if entry["n"] != self._log_n + 1:
-                            raise ValueError(f"entry n={entry['n']!r}, "
-                                             f"expected {self._log_n + 1}")
-                        self._apply(entry)
-                    except (OrchestratorError, AttributeError, KeyError,
-                            TypeError, ValueError) as exc:
-                        raise ValueError(f"{path}:{lineno}: bad log entry: "
-                                         f"{type(exc).__name__}: {exc}") from None
-                    self._log_n += 1
-                    end += len(line)
-            if end < path.stat().st_size:
-                os.truncate(path, end)
-        return open(path, "a", buffering=1)
-
     @classmethod
     def restore(cls, node_ids, log_path, **kwargs) -> "Orchestrator":
         """Same as `Orchestrator(node_ids, log_path=log_path, **kwargs)`."""
         return cls(node_ids, log_path=log_path, **kwargs)
 
     def close(self) -> None:
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     # --- wire protocol ----------------------------------------------------
 

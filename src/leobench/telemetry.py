@@ -120,20 +120,18 @@ class ShiftEstimate:
 
 
 def estimate_time_shift(terminal_series, ground_truth_series,
-                        max_shift_s: int = 10,
-                        min_len_s: int = 60,
-                        confidence_improvement: float = 0.05) -> ShiftEstimate:
+                        max_shift_s: int = 10) -> ShiftEstimate:
     """Lag of the terminal series behind ground truth, in whole seconds.
 
     Scans shifts 0..max_shift_s and picks the minimum mean absolute error.
     `confident` is False when the best shift improves on the median MAE by
-    less than `confidence_improvement` (unrelated series have a flat curve).
+    less than 5% (unrelated series have a flat curve). Needs 60 samples.
     """
     a = np.asarray(terminal_series, dtype=float)
     b = np.asarray(ground_truth_series, dtype=float)
     n = min(len(a), len(b))
-    if n < min_len_s:
-        raise SeriesTooShort(f"need >= {min_len_s} samples, have {n}")
+    if n < 60:
+        raise SeriesTooShort(f"need >= 60 samples, have {n}")
     if max_shift_s < 0 or max_shift_s > n - 10:
         raise ValueError(f"max_shift_s out of range for series of {n}")
     a, b = a[:n], b[:n]
@@ -144,7 +142,7 @@ def estimate_time_shift(terminal_series, ground_truth_series,
     maes_arr = np.array(maes)
     best = int(np.argmin(maes_arr))
     ref = float(np.median(maes_arr))
-    confident = ref > 0 and (ref - maes_arr[best]) / ref >= confidence_improvement
+    confident = ref > 0 and (ref - maes_arr[best]) / ref >= 0.05
     if ref == 0.0:
         confident = True  # identical series: zero error everywhere, shift 0
     return ShiftEstimate(best, tuple(maes), confident)
@@ -202,20 +200,18 @@ class UserTrafficDetector:
     A constant gap such as header overhead sits in the baseline and never
     fires; only a change that persists for hold_s consecutive seconds
     asserts USER_TRAFFIC, and the deassert path is symmetric. The baseline
-    tracks slow drift with an EMA while quiet and freezes during activity.
+    tracks drift with a 0.05-weight EMA while quiet and freezes during activity.
     """
 
     def __init__(self,
                  change_threshold_bps: float = DEFAULT_CHANGE_THRESHOLD_BPS,
-                 hold_s: int = DEFAULT_HOLD_S,
-                 baseline_alpha: float = 0.05):
+                 hold_s: int = DEFAULT_HOLD_S):
         if change_threshold_bps <= 0:
             raise ValueError("threshold must be positive")
         if hold_s < 1:
             raise ValueError("hold_s must be >= 1")
         self.change_threshold_bps = change_threshold_bps
         self.hold_s = hold_s
-        self._alpha = baseline_alpha
         self._baseline: float | None = None
         self._streak = 0
         self.active = False
@@ -235,7 +231,7 @@ class UserTrafficDetector:
                     return TrafficEvent(delta.ts_ms, True)
             else:
                 self._streak = 0
-                self._baseline += self._alpha * (diff - self._baseline)
+                self._baseline += 0.05 * (diff - self._baseline)
         else:
             if not deviating:
                 self._streak += 1

@@ -57,7 +57,7 @@ class TriggerState(enum.Enum):
 
 # metrics resolved from the sample window
 SAMPLE_METRICS = tuple(METRIC_GETTERS)
-# metrics resolved through pluggable providers; only stubs ship by default
+# metrics that parse but have no source yet: always insufficient history
 PROVIDER_METRICS = ("weather",)
 
 RELOPS = (">=", "<=", "==", "!=", ">", "<")
@@ -325,15 +325,8 @@ class OrbitalContext:
     catalog: list[TleRecord]
 
 
-def _stub_weather(now_ms: int):
-    return None  # no provider wired up
-
-
-DEFAULT_PROVIDERS = {"weather": _stub_weather}
-
-
 def _eval_num(expr: Expr, window: TelemetryWindow,
-              orbital: OrbitalContext | None, now_ms: int, providers: dict) -> float:
+              orbital: OrbitalContext | None, now_ms: int) -> float:
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Metric):
@@ -342,11 +335,7 @@ def _eval_num(expr: Expr, window: TelemetryWindow,
             if value is None:
                 raise InsufficientHistory(f"{expr.name} absent in current sample")
             return value
-        provider = providers.get(expr.name)
-        value = provider(now_ms) if provider else None
-        if value is None:
-            raise InsufficientHistory(f"no provider value for {expr.name}")
-        return float(value)
+        raise InsufficientHistory(f"no source wired up for {expr.name}")
     if isinstance(expr, MAvg):
         return window.prior_moving_avg(expr.metric, expr.n)
     if isinstance(expr, VisibleSatsMetric):
@@ -355,8 +344,8 @@ def _eval_num(expr: Expr, window: TelemetryWindow,
         t = datetime.fromtimestamp(now_ms / 1000.0, tz=timezone.utc)
         return float(len(visible_sats(orbital.site, orbital.catalog, t, expr.mask_deg)))
     if isinstance(expr, Arith):
-        left = _eval_num(expr.left, window, orbital, now_ms, providers)
-        right = _eval_num(expr.right, window, orbital, now_ms, providers)
+        left = _eval_num(expr.left, window, orbital, now_ms)
+        right = _eval_num(expr.right, window, orbital, now_ms)
         if expr.op == "+":
             return left + right
         if expr.op == "-":
@@ -368,21 +357,21 @@ def _eval_num(expr: Expr, window: TelemetryWindow,
 
 
 def _eval_bool(expr: Expr, window: TelemetryWindow,
-               orbital: OrbitalContext | None, now_ms: int, providers: dict) -> bool:
+               orbital: OrbitalContext | None, now_ms: int) -> bool:
     if isinstance(expr, Compare):
-        left = _eval_num(expr.left, window, orbital, now_ms, providers)
-        right = _eval_num(expr.right, window, orbital, now_ms, providers)
+        left = _eval_num(expr.left, window, orbital, now_ms)
+        right = _eval_num(expr.right, window, orbital, now_ms)
         return {
             ">": left > right, ">=": left >= right,
             "<": left < right, "<=": left <= right,
             "==": left == right, "!=": left != right,
         }[expr.op]
     if isinstance(expr, Not):
-        return not _eval_bool(expr.operand, window, orbital, now_ms, providers)
+        return not _eval_bool(expr.operand, window, orbital, now_ms)
     if isinstance(expr, BoolOp):
         # strict: both sides evaluated so missing history anywhere wins
-        left = _eval_bool(expr.left, window, orbital, now_ms, providers)
-        right = _eval_bool(expr.right, window, orbital, now_ms, providers)
+        left = _eval_bool(expr.left, window, orbital, now_ms)
+        right = _eval_bool(expr.right, window, orbital, now_ms)
         return (left and right) if expr.op == "and" else (left or right)
     raise TriggerTypeError(f"expected a boolean expression, got {type(expr).__name__}")
 
@@ -390,14 +379,12 @@ def _eval_bool(expr: Expr, window: TelemetryWindow,
 def evaluate(expr: Expr,
              window: TelemetryWindow,
              orbital: OrbitalContext | None = None,
-             now_ms: int | None = None,
-             providers: dict | None = None) -> TriggerState:
+             now_ms: int | None = None) -> TriggerState:
     if now_ms is None:
         latest = window.latest
         now_ms = latest.ts_ms if latest else 0
     try:
-        result = _eval_bool(expr, window, orbital, now_ms,
-                            providers if providers is not None else DEFAULT_PROVIDERS)
+        result = _eval_bool(expr, window, orbital, now_ms)
     except InsufficientHistory:
         return TriggerState.INSUFFICIENT_HISTORY
     return TriggerState.FIRE if result else TriggerState.HOLD

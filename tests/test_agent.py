@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 
 import pytest
@@ -450,13 +451,18 @@ def test_upload_failure_retains_then_retries(tmp_path):
 
 # --- restart recovery -----------------------------------------------------
 
+def journal_entries(workdir):
+    path = workdir / "_state" / "journal.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_restart_marks_orphaned_running_as_failed(tmp_path):
     clock, orch, store, sim, agent = make_rig(tmp_path)
     orch.submit_experiment(window_spec("png", 0, 600000))
     drive(agent, clock, 3)
     assert agent.runs_by_state() == {"RUNNING": ["png-0"]}
-    state_file = tmp_path / "agent" / "_state" / "png-0.json"
-    assert json.loads(state_file.read_text())["state"] == "RUNNING"
+    assert [(e["op"], e["run_id"]) for e in journal_entries(tmp_path / "agent")] \
+        == [("RUNNING", "png-0")]
 
     # the process dies here; a fresh agent adopts the same working directory
     agent2 = Agent("n1", LocalClient(orch), store,
@@ -464,8 +470,9 @@ def test_restart_marks_orphaned_running_as_failed(tmp_path):
                    clock=clock, workdir=tmp_path / "agent", heartbeat_every_s=5)
     agent2.tick()
 
-    assert json.loads(state_file.read_text())["state"] == "FAILED"
     assert orch.query("png")["runs"][0]["state"] == "FAILED"
+    assert not (tmp_path / "agent" / "png-0").exists()
+    assert list((tmp_path / "agent" / "_state").iterdir()) == []
 
 
 def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
@@ -479,9 +486,8 @@ def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
     drive(agent, clock, 5)       # sealed at t=4000; every upload fails
     workdir = tmp_path / "agent" / "png-1000"
     assert workdir.exists() and store.list_runs("png") == []
-    sealed = json.loads((tmp_path / "agent" / "_state" / "png-1000.json")
-                        .read_text())
-    assert sealed["state"] == "COMPLETED"
+    sealed = journal_entries(tmp_path / "agent")[-1]
+    assert sealed["op"] == "sealed" and sealed["manifest"]["state"] == "COMPLETED"
 
     # the process dies with the upload queued; the store comes back
     store.fault_hook = None
@@ -496,6 +502,91 @@ def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
     assert not workdir.exists()
     assert list((tmp_path / "agent" / "_state").iterdir()) == []
     assert orch.query("png")["runs"][0]["state"] == "COMPLETED"
+
+
+def test_restart_reports_a_run_whose_sealed_entry_was_torn_as_failed(tmp_path):
+    clock, orch, store, sim, agent = make_rig(tmp_path)
+
+    def down():
+        raise UploadFailure("store down")
+
+    store.fault_hook = down
+    orch.submit_experiment(window_spec("png", 1000, 4000))
+    drive(agent, clock, 5)       # sealed at t=4000; every upload fails
+    journal = tmp_path / "agent" / "_state" / "journal.jsonl"
+    journal.write_bytes(journal.read_bytes()[:-20])   # the crash tore it
+
+    store.fault_hook = None
+    agent2 = Agent("n1", LocalClient(orch), store,
+                   SimSource(TerminalSim(TerminalModelConfig(rng_seed=9))),
+                   clock=clock, workdir=tmp_path / "agent", heartbeat_every_s=5)
+    drive(agent2, clock, 2)
+
+    assert store.list_runs("png") == []
+    assert orch.query("png")["runs"][0]["state"] == "FAILED"
+    assert [p.name for p in (tmp_path / "agent").iterdir()] == ["_state"]
+    assert list((tmp_path / "agent" / "_state").iterdir()) == []
+
+
+class RecordingClient(LocalClient):
+    def __init__(self, orchestrator):
+        super().__init__(orchestrator)
+        self.sent = []
+
+    def call(self, msg):
+        self.sent.append(msg)
+        return super().call(msg)
+
+
+def test_restart_after_a_crash_at_every_byte_offset_of_the_journal(tmp_path):
+    """One sealed run the store never took and one run still RUNNING; the
+    journal is cut at every offset and a fresh agent restarts on it."""
+    clock, orch, store, sim, agent = make_rig(tmp_path / "first")
+
+    def down():
+        raise UploadFailure("store down")
+
+    store.fault_hook = down
+    specs = [window_spec("png", 1000, 4000), window_spec("long", 2000, 600000)]
+    for spec in specs:
+        orch.submit_experiment(spec)
+    drive(agent, clock, 5)       # png sealed at t=4000, long still RUNNING
+    first = tmp_path / "first" / "agent"
+    data = (first / "_state" / "journal.jsonl").read_bytes()
+    assert [(e["op"], e["run_id"]) for e in journal_entries(first)] == [
+        ("RUNNING", "png-1000"), ("RUNNING", "long-2000"), ("sealed", "png-1000")]
+
+    workdir, store_root = tmp_path / "agent", tmp_path / "store"
+    for offset in range(len(data) + 1):
+        shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(store_root, ignore_errors=True)
+        (workdir / "_state").mkdir(parents=True)
+        (workdir / "_state" / "journal.jsonl").write_bytes(data[:offset])
+        lines = data[:offset].splitlines(keepends=True)
+        last = {}
+        for e in (json.loads(line) for line in lines if line.endswith(b"\n")):
+            last[e["run_id"]] = (e["op"], e["experiment_id"])
+            if e["op"] == "RUNNING":      # its workdir is made just after
+                shutil.copytree(first / e["run_id"], workdir / e["run_id"],
+                                dirs_exist_ok=True)
+        restarted_orch = Orchestrator(["n1"], clock=clock)
+        for spec in specs:
+            restarted_orch.submit_experiment(spec)
+        restarted_orch.heartbeat("n1", acks=[1, 2])   # nothing to redeliver
+        client = RecordingClient(restarted_orch)
+        restarted_store = ResultsStore(store_root)
+        restarted = Agent("n1", client, restarted_store, SimSource(sim),
+                          clock=clock, workdir=workdir, heartbeat_every_s=5)
+        drive(restarted, clock, 2)
+
+        reported = [(m["experiment_id"], m["manifest"]["state"])
+                    for m in client.sent if m["type"] == "COMPLETE"]
+        sealed = last.get("png-1000", (None,))[0] == "sealed"
+        orphans = [(eid, "FAILED") for op, eid in last.values() if op == "RUNNING"]
+        assert sorted(reported) == sorted(orphans + [("png", "COMPLETED")] * sealed), offset
+        assert len(restarted_store.list_runs("png")) == sealed, offset
+        assert [p.name for p in workdir.iterdir()] == ["_state"], offset
+        assert list((workdir / "_state").iterdir()) == [], offset
 
 
 # --- live telemetry feed --------------------------------------------------

@@ -342,6 +342,12 @@ def malformed_inputs(tmp_path):
     (tmp_path / "stale.tle").write_text(stale_tle())
     (tmp_path / "traces").mkdir()
     (tmp_path / "traces" / "t.csv").write_text("ts_ms,kbps\n0,100\n")
+    (tmp_path / "wd" / "_state").mkdir(parents=True)
+    run = {"op": "RUNNING", "run_id": "e-0", "experiment_id": "e",
+           "run_start_ms": 0}
+    (tmp_path / "wd" / "_state" / "journal.jsonl").write_text(
+        json.dumps({"n": 1, **run}) + '\n{"n": 2, "op": \n'
+        + json.dumps({"n": 3, **run}) + "\n")
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -362,6 +368,7 @@ def malformed_inputs(tmp_path):
     ("orchestrate --nodes ../evil,n1 --port 0 --duration-s 0", "BadConfig"),
     ("agent --node-id ../evil --duration-s 0", "BadConfig"),
     ("LEO_NODES=n1,.hidden status", "BadConfig"),
+    ("agent --node-id n1 --workdir wd --duration-s 0", "BadInput"),
 ])
 def test_malformed_input_gives_one_json_error_line(tmp_path, capsys,
                                                    monkeypatch, argv, kind):
@@ -377,6 +384,8 @@ def test_malformed_input_gives_one_json_error_line(tmp_path, capsys,
     assert len(lines) == 1
     reply = json.loads(lines[0])
     assert reply["ok"] is False and reply["error"]["kind"] == kind
+    if "--workdir wd" in argv:
+        assert "journal.jsonl:2:" in reply["error"]["message"]
 
 
 # --- prediction ----------------------------------------------------------
