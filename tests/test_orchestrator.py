@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import re
 import socket
 import tempfile
@@ -476,6 +478,80 @@ def test_corrupt_or_misnumbered_log_line_names_its_place(tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"{bad}:{lineno}:")):
             Orchestrator.restore(NODES, bad, clock=SimClock(0))
         assert bad.read_bytes() == b"".join(broken)   # left as it was
+
+
+# --- golden digest --------------------------------------------------------
+
+def golden_messages():
+    """A fixed wire script over every table path: a conflict, a duplicate id
+    and repeated clients at submit; heartbeats with acks and run reports;
+    completions that repeat, requeue after PREEMPTED and carry absent,
+    numeric and string run_start_ms; per-experiment and whole-table QUERY."""
+    trig = {"trigger": "latency_ms > 80", "max_runtime_s": 10}
+    specs = [
+        make_spec("a", nodes=("n2", "n1")),
+        make_spec("a", nodes=("n3",)),                                # duplicate id
+        make_spec("clash", windows=((30000, 90000),)),                # conflicts with a
+        make_spec("dup", nodes=("n3", "n1", "n3"), overhead="NO_OVERHEAD"),
+        make_spec("trig", nodes=("n3", "n2"), trigger=trig),
+        make_spec("srv", nodes=("n3",), servers=("n2", "far"),
+                  windows=((60000, 120000),)),                        # touches a
+        make_spec("srv2", nodes=("n3",), servers=("n1",),
+                  windows=((50000, 70000),)),                         # clashes twice
+    ]
+    msgs = [{"type": "SUBMIT", "spec": s.to_json()} for s in specs]
+    rnd = random.Random(10)
+    eids = ["a", "dup", "trig", "srv", "clash", "ghost"]
+    starts = [None, 0, 1, 2.5, "1", "x"]
+    for i in range(400):
+        kind = rnd.choice(("SUBMIT", "HEARTBEAT", "HEARTBEAT", "COMPLETE",
+                           "COMPLETE", "COMPLETE", "QUERY"))
+        if kind == "SUBMIT":
+            eid = f"e{i}"
+            eids.append(eid)
+            start = rnd.randrange(0, 600) * 1000
+            spec = make_spec(eid, nodes=rnd.sample(NODES, rnd.randint(1, 3)),
+                             windows=((start, start + rnd.randint(1, 90) * 1000),),
+                             overhead=rnd.choice(("OVERHEAD", "NO_OVERHEAD")))
+            msgs.append({"type": "SUBMIT", "spec": spec.to_json()})
+        elif kind == "HEARTBEAT":
+            runs = [{"experiment_id": rnd.choice(eids),
+                     "state": rnd.choice(("RUNNING", "COMPLETED"))}
+                    for _ in range(rnd.randint(0, 2))]
+            msgs.append({"type": "HEARTBEAT", "node_id": rnd.choice(TARGETS),
+                         "ts_ms": i * 1000,
+                         "acks": rnd.sample(range(1, 40), rnd.randint(0, 4)),
+                         "runs": runs})
+        elif kind == "COMPLETE":
+            manifest = {"state": rnd.choice(("COMPLETED", "FAILED", "KILLED",
+                                             "PREEMPTED", "PREEMPTED", "RUNNING"))}
+            start = rnd.choice(starts)
+            if start is not None:
+                manifest["run_start_ms"] = start
+            msgs.append({"type": "COMPLETE", "experiment_id": rnd.choice(eids),
+                         "node_id": rnd.choice(NODES), "manifest": manifest})
+        else:
+            msg = {"type": "QUERY"}
+            if rnd.random() < 0.5:
+                msg["experiment_id"] = rnd.choice(eids)
+            msgs.append(msg)
+    return msgs
+
+
+def test_orchestrator_replies_golden_digest(tmp_path):
+    """Every reply, the final to_state() and the log bytes of a fixed
+    script hash to a pinned value; a restore dumps the same state."""
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    replies = [orch.handle_message(m) for m in golden_messages()]
+    state = orch.to_state()
+    orch.close()
+    restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
+    assert restored.to_state() == state
+    restored.close()
+    blob = json.dumps([replies, state]).encode() + log.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "ac3a03c3de47c2309ab0bf5a4a1f41cc60e39f8d26a82d48efae9d99ccc3e805"
 
 
 # --- property tests -------------------------------------------------------
