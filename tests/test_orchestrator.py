@@ -624,6 +624,12 @@ def test_random_operations_replay_to_the_live_state(ops):
             except OrchestratorError:
                 pass
         want = orch.to_state()
+        assert orch.query() == [
+            {"id": eid, "kind": spec["kind"], "overhead": spec["overhead"],
+             "runs": sorted(({k: r[k] for k in ("node_id", "state", "requeues")}
+                             for r in want["runs"] if r["experiment_id"] == eid),
+                            key=lambda run: run["node_id"])}
+            for eid, spec in sorted(want["specs"].items())]
         orch.close()
         restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
         assert restored.to_state() == want
