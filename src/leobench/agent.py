@@ -5,8 +5,8 @@ tick(), which tests drive on a simulated clock and run_forever() drives on
 the wall clock: ingest one telemetry sample, finish or kill due runs, open
 scheduled windows, arbitrate trigger fires, emit one row per active builtin
 run, and heartbeat the orchestrator. Heartbeats are the only control
-channel; schedules arrive piggybacked on the response and are acknowledged
-by seq, with a seen-seq set making redelivery harmless.
+channel; schedules arrive piggybacked on the response, in seq order, and
+are acknowledged by seq; keeping the highest seq taken drops redeliveries.
 
 Scavenger mode: a user-traffic detector watches the gap between terminal
 byte counters and the agent's own offered load. While user traffic is
@@ -22,7 +22,8 @@ and resume, PREEMPTED, and `sealed` with the manifest. A restart acts on
 each run's last entry: a sealed run whose workdir is still here is uploaded
 again; a RUNNING run died with the old process and is reported FAILED; every
 other workdir is removed. Replaying twice is harmless, as the orchestrator
-drops repeated completions. The file is deleted whenever nothing is pending.
+drops repeated completions. A window run's entries name its window, which a
+restart never opens again. The file is deleted whenever nothing is pending.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class Agent:
         self._bindings: dict[str, BindingState] = {}
         self._runs: dict[str, LocalRun] = {}
         self._opened_windows: set[tuple[str, int]] = set()
-        self._seen_seqs: set[int] = set()
+        self._last_seq = 0   # highest delivery seq taken
         self._ack_queue: set[int] = set()
         self._last_hb_ms: int | None = None
         self._last_sample: TelemetrySample | None = None
@@ -257,6 +258,9 @@ class Agent:
                     all(_ID_RE.fullmatch(entry[k]) for k in ("run_id", "experiment_id")):
                 raise ValueError(f"not a run entry: {entry!r}")
             last[entry["run_id"]] = entry
+            if "window_start_ms" in entry:
+                self._opened_windows.add((entry["experiment_id"],
+                                          entry["window_start_ms"]))
 
         self._journal = Journal(self.workdir / "_state" / "journal.jsonl", note)
         for run_id, entry in last.items():
@@ -272,6 +276,8 @@ class Agent:
     def _journal_append(self, op: str, run: LocalRun, **extra) -> dict:
         entry = {"op": op, "run_id": run.run_id, "experiment_id": run.spec.id,
                  "run_start_ms": run.start_ms, **extra}
+        if run.window is not None:
+            entry["window_start_ms"] = run.window[0]
         self._journal.append(entry)
         return entry
 
@@ -634,9 +640,9 @@ class Agent:
         for sched in resp.get("schedules", ()):
             seq = int(sched["seq"])
             self._ack_queue.add(seq)
-            if seq in self._seen_seqs:
+            if seq <= self._last_seq:
                 continue
-            self._seen_seqs.add(seq)
+            self._last_seq = seq
             self._accept(ExperimentSpec.from_json(sched["spec"]), now)
 
     def _accept(self, spec: ExperimentSpec, now: int) -> None:

@@ -5,11 +5,13 @@ one JSON object per line, and the orchestrator never dials an agent. Four
 message types exist on the wire (SUBMIT, HEARTBEAT, COMPLETE, QUERY); node
 registration is a static table fixed at construction, not a protocol step.
 
-Scheduling state is a table of experiments plus per-node queues of
-(seq, experiment) deliveries. A delivery rides on every heartbeat response
-until the agent acknowledges its seq in a later heartbeat, so a lost
-response costs one heartbeat interval, never a lost run; agents dedup by
-seq, giving exactly-once execution over an at-least-once channel.
+Scheduling state is one record per experiment (its spec and its run on
+each client node) plus per-node queues of (seq, experiment) deliveries in
+seq order. Each heartbeat response carries the node's whole queue, and a
+delivery stays in it until the agent acknowledges its seq, so a lost
+response costs one heartbeat interval, never a lost run, and an agent that
+keeps the highest seq it has taken drops exactly the redeliveries:
+exactly-once execution over an at-least-once channel.
 
 A rejected request is answered with ``{"ok": false, "error": {"kind": ...,
 "message": ...}}``, the kind naming the OrchestratorError raised. A line
@@ -36,8 +38,6 @@ from .triggers import TriggerBinding, TriggerSyntaxError, UnknownMetric
 
 EXPERIMENT_KINDS = ("PING", "HPING", "TRACEROUTE", "BULK_FLOW", "CUSTOM")
 OVERHEAD_CLASSES = ("OVERHEAD", "NO_OVERHEAD")
-# orchestrator-side view of a run; agents report the same names
-RUN_STATES = ("SCHEDULED", "RUNNING", "COMPLETED", "FAILED", "KILLED", "PREEMPTED")
 TERMINAL_STATES = ("COMPLETED", "FAILED", "KILLED", "PREEMPTED")
 
 MAX_REQUEUES = 1   # times a PREEMPTED run is re-enqueued before it sticks
@@ -212,11 +212,16 @@ class NodeRecord:
 
 @dataclass
 class RunRecord:
-    experiment_id: str
-    node_id: str
     state: str = "SCHEDULED"
     requeues: int = 0
     manifest: dict | None = None
+    completions: set[tuple] = field(default_factory=set)   # (run_start_ms, state)
+
+
+@dataclass
+class Experiment:
+    spec: ExperimentSpec
+    runs: dict[str, RunRecord]   # by client node id, in sorted order
 
 
 def _error(kind: str, message: str, **extra) -> dict:
@@ -224,12 +229,12 @@ def _error(kind: str, message: str, **extra) -> dict:
 
 
 def _completion_order(key: tuple) -> tuple:
-    """Sort key of a completion (experiment_id, node_id, run_start_ms,
-    state): a manifest's run_start_ms may be absent (None), a number or a
-    string, so those rank in that order before values are compared."""
-    experiment_id, node_id, start, state = key
+    """Sort key of a completion (run_start_ms, state): a manifest's
+    run_start_ms may be absent (None), a number or a string, so those rank
+    in that order before values are compared."""
+    start, state = key
     rank = 0 if start is None else 2 if isinstance(start, str) else 1
-    return experiment_id, node_id, rank, start, state
+    return rank, start, state
 
 
 class Orchestrator:
@@ -245,11 +250,9 @@ class Orchestrator:
         self._lock = threading.RLock()
         self._nodes: dict[str, NodeRecord] = {
             nid: NodeRecord(nid) for nid in node_ids}
-        self._specs: dict[str, ExperimentSpec] = {}
-        self._runs: dict[tuple[str, str], RunRecord] = {}
+        self._experiments: dict[str, Experiment] = {}
         self._pending: dict[str, list[dict]] = {nid: [] for nid in node_ids}
         self._next_seq: dict[str, int] = {nid: 1 for nid in node_ids}
-        self._seen_completions: set[tuple] = set()
         self._journal = Journal(log_path, self._apply) if log_path else None
 
     # --- submission -------------------------------------------------------
@@ -258,7 +261,7 @@ class Orchestrator:
         if not isinstance(spec, ExperimentSpec):
             spec = ExperimentSpec.from_json(spec)
         with self._lock:
-            if spec.id in self._specs:
+            if spec.id in self._experiments:
                 raise DuplicateExperiment(f"experiment id {spec.id!r} already exists")
             for nid in spec.clients:
                 if nid not in self._nodes:
@@ -285,7 +288,8 @@ class Orchestrator:
             return []
         mine = self._occupied_nodes(spec)
         clashing = []
-        for other in self._specs.values():
+        for experiment in self._experiments.values():
+            other = experiment.spec
             if other.overhead != "OVERHEAD" or other.windows is None:
                 continue
             if not (mine & self._occupied_nodes(other)):
@@ -295,9 +299,9 @@ class Orchestrator:
         return clashing
 
     def _apply_submit(self, spec: ExperimentSpec) -> None:
-        self._specs[spec.id] = spec
+        self._experiments[spec.id] = Experiment(
+            spec, {nid: RunRecord() for nid in sorted(spec.clients)})
         for nid in spec.clients:
-            self._runs[(spec.id, nid)] = RunRecord(spec.id, nid)
             self._enqueue(nid, spec.id)
 
     def _enqueue(self, node_id: str, experiment_id: str) -> None:
@@ -326,7 +330,7 @@ class Orchestrator:
             self._append_log(entry)
             self._apply_heartbeat(entry)
             return [{"seq": p["seq"],
-                     "spec": self._specs[p["experiment_id"]].to_json()}
+                     "spec": self._experiments[p["experiment_id"]].spec.to_json()}
                     for p in self._pending[node_id]]
 
     def _apply_heartbeat(self, entry: dict) -> None:
@@ -337,7 +341,8 @@ class Orchestrator:
             queue = self._pending[entry["node_id"]]
             queue[:] = [p for p in queue if p["seq"] not in acked]
         for report in entry["runs"]:
-            rec = self._runs.get((report.get("experiment_id"), entry["node_id"]))
+            experiment = self._experiments.get(report.get("experiment_id"))
+            rec = experiment and experiment.runs.get(entry["node_id"])
             if rec is not None and report.get("state") == "RUNNING" \
                     and rec.state == "SCHEDULED":
                 rec.state = "RUNNING"
@@ -349,7 +354,8 @@ class Orchestrator:
         """Absorb a terminal run report. Retried uploads are deduplicated;
         a PREEMPTED run is re-enqueued once before it sticks as terminal."""
         with self._lock:
-            rec = self._runs.get((experiment_id, node_id))
+            experiment = self._experiments.get(experiment_id)
+            rec = experiment and experiment.runs.get(node_id)
             if rec is None:
                 raise UnknownRun(f"no run of {experiment_id!r} on {node_id!r}")
             if not isinstance(manifest, dict):
@@ -357,8 +363,7 @@ class Orchestrator:
             state = manifest.get("state", "COMPLETED")
             if state not in TERMINAL_STATES:
                 raise BadSpec(f"completion state must be terminal, got {state!r}")
-            key = (experiment_id, node_id, manifest.get("run_start_ms"), state)
-            if key in self._seen_completions:
+            if (manifest.get("run_start_ms"), state) in rec.completions:
                 return {"duplicate": True, "requeued": False}
             self._append_log({"op": "complete", "experiment_id": experiment_id,
                               "node_id": node_id, "manifest": dict(manifest)})
@@ -367,9 +372,8 @@ class Orchestrator:
     def _apply_complete(self, experiment_id: str, node_id: str,
                         manifest: dict) -> dict:
         state = manifest.get("state", "COMPLETED")
-        key = (experiment_id, node_id, manifest.get("run_start_ms"), state)
-        self._seen_completions.add(key)
-        rec = self._runs[(experiment_id, node_id)]
+        rec = self._experiments[experiment_id].runs[node_id]
+        rec.completions.add((manifest.get("run_start_ms"), state))
         rec.manifest = dict(manifest)
         requeued = False
         if state == "PREEMPTED" and rec.requeues < MAX_REQUEUES:
@@ -386,17 +390,17 @@ class Orchestrator:
     def query(self, experiment_id: str | None = None):
         with self._lock:
             if experiment_id is not None:
-                if experiment_id not in self._specs:
+                if experiment_id not in self._experiments:
                     raise UnknownRun(f"unknown experiment {experiment_id!r}")
-                return self._experiment_view(experiment_id)
-            return [self._experiment_view(eid) for eid in sorted(self._specs)]
+                return self._experiment_view(self._experiments[experiment_id])
+            return [self._experiment_view(experiment)
+                    for _, experiment in sorted(self._experiments.items())]
 
-    def _experiment_view(self, eid: str) -> dict:
-        spec = self._specs[eid]
-        runs = [{"node_id": nid, "state": rec.state, "requeues": rec.requeues}
-                for (e, nid), rec in sorted(self._runs.items()) if e == eid]
-        return {"id": eid, "kind": spec.kind, "overhead": spec.overhead,
-                "runs": runs}
+    def _experiment_view(self, experiment: Experiment) -> dict:
+        spec = experiment.spec
+        return {"id": spec.id, "kind": spec.kind, "overhead": spec.overhead,
+                "runs": [{"node_id": nid, "state": rec.state, "requeues": rec.requeues}
+                         for nid, rec in experiment.runs.items()]}
 
     def node_health(self, now_ms: int | None = None) -> dict[str, str]:
         with self._lock:
@@ -420,18 +424,21 @@ class Orchestrator:
         """Canonical JSON-friendly dump of every table, for replay-identity
         checks."""
         with self._lock:
+            table = sorted(self._experiments.items())
+            runs = [(eid, nid, rec) for eid, experiment in table
+                    for nid, rec in experiment.runs.items()]
             return {
-                "specs": {eid: s.to_json() for eid, s in sorted(self._specs.items())},
+                "specs": {eid: experiment.spec.to_json() for eid, experiment in table},
                 "runs": [{"experiment_id": e, "node_id": n, "state": r.state,
                           "requeues": r.requeues, "manifest": r.manifest}
-                         for (e, n), r in sorted(self._runs.items())],
+                         for e, n, r in runs],
                 "pending": {nid: [[p["seq"], p["experiment_id"]] for p in q]
                             for nid, q in sorted(self._pending.items())},
                 "next_seq": dict(sorted(self._next_seq.items())),
                 "nodes": {nid: rec.last_heartbeat_ms
                           for nid, rec in sorted(self._nodes.items())},
-                "completions": [list(k) for k in sorted(self._seen_completions,
-                                                         key=_completion_order)],
+                "completions": [[e, n, *k] for e, n, r in runs
+                                for k in sorted(r.completions, key=_completion_order)],
             }
 
     def _apply(self, entry: dict) -> None:
@@ -554,14 +561,3 @@ class OrchestratorClient:
         if not line:
             raise ConnectionError("orchestrator closed the connection")
         return json.loads(line)
-
-
-def submit(client, spec_json: dict) -> dict:
-    return client.call({"type": "SUBMIT", "spec": spec_json})
-
-
-def query(client, experiment_id: str | None = None) -> dict:
-    msg = {"type": "QUERY"}
-    if experiment_id is not None:
-        msg["experiment_id"] = experiment_id
-    return client.call(msg)

@@ -350,10 +350,6 @@ class TerminalSim:
     # -- introspection ----------------------------------------------------
 
     @property
-    def serving_sat_id(self) -> str | None:
-        return self._serving.name if self._serving else None
-
-    @property
     def catalog(self) -> list[TleRecord] | None:
         """Constellation in use; materialized on the first step when not
         supplied up front."""

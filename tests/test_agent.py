@@ -475,6 +475,25 @@ def test_restart_marks_orphaned_running_as_failed(tmp_path):
     assert list((tmp_path / "agent" / "_state").iterdir()) == []
 
 
+def test_restart_does_not_run_a_recovered_window_again(tmp_path):
+    """The dead process never acked the delivery, so the restarted agent
+    is handed the spec again while its window is still open; the window's
+    run was reported FAILED and must not start a second time."""
+    clock, orch, store, sim, agent = make_rig(tmp_path)
+    orch.submit_experiment(window_spec("png", 0, 20000))
+    drive(agent, clock, 3)
+    assert orch.pending_for("n1") != []
+
+    agent2 = Agent("n1", LocalClient(orch), store,
+                   SimSource(TerminalSim(TerminalModelConfig(rng_seed=9))),
+                   clock=clock, workdir=tmp_path / "agent", heartbeat_every_s=5)
+    drive(agent2, clock, 25)
+
+    assert orch.query("png")["runs"][0]["state"] == "FAILED"
+    assert agent2.runs_by_state() == {}
+    assert store.list_runs("png") == []
+
+
 def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
     clock, orch, store, sim, agent = make_rig(tmp_path)
 
