@@ -23,7 +23,8 @@ each run's last entry: a sealed run whose workdir is still here is uploaded
 again; a RUNNING run died with the old process and is reported FAILED; every
 other workdir is removed. Replaying twice is harmless, as the orchestrator
 drops repeated completions. A window run's entries name its window, which a
-restart never opens again. The file is deleted whenever nothing is pending.
+restart opens again only for a preempted run, as the orchestrator requeues
+it. The file is deleted whenever nothing is pending.
 """
 
 from __future__ import annotations
@@ -258,13 +259,13 @@ class Agent:
                     all(_ID_RE.fullmatch(entry[k]) for k in ("run_id", "experiment_id")):
                 raise ValueError(f"not a run entry: {entry!r}")
             last[entry["run_id"]] = entry
-            if "window_start_ms" in entry:
-                self._opened_windows.add((entry["experiment_id"],
-                                          entry["window_start_ms"]))
 
         self._journal = Journal(self.workdir / "_state" / "journal.jsonl", note)
         for run_id, entry in last.items():
             workdir = self.workdir / run_id
+            if entry["op"] != PREEMPTED and "window_start_ms" in entry:
+                self._opened_windows.add((entry["experiment_id"],
+                                          entry["window_start_ms"]))
             if entry["op"] == SEALED and workdir.is_dir():
                 self._uploads.append({**entry, "attempts": 0, "next_ms": 0})
                 continue

@@ -494,6 +494,33 @@ def test_restart_does_not_run_a_recovered_window_again(tmp_path):
     assert store.list_runs("png") == []
 
 
+def test_restart_runs_a_preempted_window_the_orchestrator_requeued(tmp_path):
+    """A preempted run's report makes the orchestrator requeue it; a restart
+    before that delivery is acked must still run the window."""
+    clock, orch, store, sim, agent = make_rig(tmp_path)
+    orch.submit_experiment(window_spec("bulk", 2000, 40000, kind="BULK_FLOW",
+                                       overhead="OVERHEAD",
+                                       params={"rate_bps": 4e6}))
+    sim.inject_user_traffic(50e6, 10000, 20000)
+    while not agent.preemption_log:
+        drive(agent, clock, 1)
+    drive(agent, clock, 1)   # the PREEMPTED report reaches the orchestrator
+    assert orch.query("bulk")["runs"][0]["state"] == "SCHEDULED"
+    assert orch.pending_for("n1") != []
+    assert journal_entries(tmp_path / "agent")[-1]["op"] == "PREEMPTED"
+
+    agent2 = Agent("n1", LocalClient(orch), store,
+                   SimSource(TerminalSim(TerminalModelConfig(rng_seed=9))),
+                   clock=clock, workdir=tmp_path / "agent", heartbeat_every_s=5)
+    drive(agent2, clock, 6)
+    assert agent2.runs_by_state() == {"RUNNING": ["bulk-2000"]}
+    assert orch.query("bulk")["runs"][0]["state"] == "RUNNING"
+    drive(agent2, clock, 30)
+
+    assert orch.query("bulk")["runs"][0]["state"] == "COMPLETED"
+    assert len(store.list_runs("bulk")) == 1
+
+
 def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
     clock, orch, store, sim, agent = make_rig(tmp_path)
 
