@@ -197,3 +197,40 @@ def test_outage_hides_latency_keeps_counters():
             s.latency()
     actives = [s for s in samples if s.state == "ACTIVE"]
     assert all(s.pop_latency_ms > 0 for s in actives)
+
+
+
+# --- golden digest -------------------------------------------------------
+
+GOLDEN_TERMINAL = "f530b6dde0b277883c8f38b29db687d13e0e27a1ba7450d73c52eda2181f6a33"
+
+
+def test_terminal_sim_golden_digest():
+    """A seeded run with outages, a forced bad handover, user traffic and
+    two experiment-rate changes, hashed with its spike and handover logs and
+    the traceroute hops the agent derives from each active sample. It pins
+    outage durations, counter lag, gateway placement and path composition."""
+    import hashlib
+    import json
+
+    from leobench.agent import traceroute_hops
+
+    cfg = TerminalModelConfig(rng_seed=17, p_outage_per_s=0.02,
+                              forced_bad_handovers=(6,))
+    sim = TerminalSim(cfg)
+    sim.inject_user_traffic(25e6, T0 + 40_000, 30_000)
+    h = hashlib.sha256()
+    states = set()
+    for k in range(480):
+        now = T0 + k * 1000
+        if k in (100, 220):
+            sim.set_experiment_rate(6e6 if k == 100 else 0.0, now)
+        s = sim.step(now)
+        states.add(s.state)
+        h.update(json.dumps(s.to_wire()).encode())
+        if s.state == "ACTIVE":
+            h.update(repr(traceroute_hops(s.pop_latency_ms)).encode())
+    h.update(repr(sim.spike_log).encode())
+    h.update(repr(sim.handover_log).encode())
+    assert states == {"ACTIVE", "OUTAGE"} and sim.spike_log
+    assert h.hexdigest() == GOLDEN_TERMINAL
