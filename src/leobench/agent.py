@@ -20,11 +20,12 @@ retained local copies and backoff retries if the store is down.
 Durable state is a `journal`, `_state/journal.jsonl`: RUNNING at each start
 and resume, PREEMPTED, and `sealed` with the manifest. A restart acts on
 each run's last entry: a sealed run whose workdir is still here is uploaded
-again; a RUNNING run died with the old process and is reported FAILED; every
-other workdir is removed. Replaying twice is harmless, as the orchestrator
-drops repeated completions. A window run's entries name its window, which a
-restart opens again only for a preempted run, as the orchestrator requeues
-it. The file is deleted whenever nothing is pending.
+again; a RUNNING run died with the old process and is reported FAILED; a
+PREEMPTED run is reported again, as the dead process may not have sent it;
+every other workdir is removed. Replaying twice is harmless, as the
+orchestrator drops repeated completions. A window run's entries name its
+window, which a restart opens again only for a preempted run, as the
+orchestrator requeues it. The file is deleted whenever nothing is pending.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .journal import Journal
 from .orchestrator import _ID_RE, ExperimentSpec
 from .store import ResultsStore, UploadFailure
 from .telemetry import ConsumptionTracker, TelemetryWindow, UserTrafficDetector
-from .terminal_sim import (TelemetryPublisher, TelemetrySample, TerminalModelConfig,
-                           TerminalSim, serve_telemetry)
+from .terminal_sim import (POP_TO_DEST_MS, S1_MS, TelemetryPublisher, TelemetrySample,
+                           TerminalModelConfig, TerminalSim, serve_telemetry)
 from .triggers import BindingState, TriggerState, evaluate
 
 PENDING = "PENDING"
@@ -68,13 +69,12 @@ LEGAL_TRANSITIONS = {
 
 PING_HEADER = "ts_ms,rtt_ms,lost"
 TRACEROUTE_HEADER = "ts_ms,hop_index,hop_addr,rtt_ms"
-BULK_FLOW_HEADER = "ts_ms,goodput_bps,rtt_ms,retrans"
 
-DATA_FILENAMES = {
-    "PING": "ping.csv",
-    "HPING": "hping.csv",
-    "TRACEROUTE": "traceroute.csv",
-    "BULK_FLOW": "bulk_flow.csv",
+DATA_FILES = {
+    "PING": ("ping.csv", PING_HEADER),
+    "HPING": ("hping.csv", PING_HEADER),
+    "TRACEROUTE": ("traceroute.csv", TRACEROUTE_HEADER),
+    "BULK_FLOW": ("bulk_flow.csv", "ts_ms,goodput_bps,rtt_ms,retrans"),
 }
 
 # LAN hop, CGNAT address at the PoP, two transit hops, peering hop, then the
@@ -87,7 +87,7 @@ _TRACEROUTE_PATH = (
     (5, "142.250.4.1"),
     (6, None),
 )
-_TRACEROUTE_TAIL_MS = (None, 13.0, 11.0, 9.0, 7.0, 0.0)
+_TRACEROUTE_TAIL_MS = (None, POP_TO_DEST_MS, 11.0, 9.0, 7.0, 0.0)
 DEFAULT_TARGET = "142.251.33.14"
 
 # terminal counters carry header overhead on the downlink and a thin ack
@@ -96,6 +96,8 @@ ACCOUNTING_FACTOR = (1.0 + 0.14) * 1.03
 
 # wait before each retry of a failed upload; the last one repeats
 UPLOAD_BACKOFF_S = (1.0, 2.0, 5.0, 10.0, 30.0)
+
+FEED_CONNECT_TIMEOUT_S = 10.0
 
 
 class IllegalTransition(RuntimeError):
@@ -108,11 +110,11 @@ class LaunchFailure(RuntimeError):
 
 def traceroute_hops(latency_ms: float, target: str = DEFAULT_TARGET):
     """Cumulative hop RTTs for one probe given the full path RTT. The LAN
-    hop is a fixed 1 ms and the post-PoP tail unwinds in known steps, which
-    puts the satellite segment's share where a real dish sits."""
+    hop is the terminal's S1 and the post-PoP tail unwinds in known steps,
+    which puts the satellite segment's share where a real dish sits."""
     hops = []
     for (idx, addr), tail in zip(_TRACEROUTE_PATH, _TRACEROUTE_TAIL_MS):
-        rtt = 1.0 if tail is None else max(latency_ms - tail, 1.0)
+        rtt = S1_MS if tail is None else max(latency_ms - tail, S1_MS)
         hops.append((idx, addr if addr is not None else target, rtt))
     return hops
 
@@ -169,11 +171,11 @@ class SimSource:
 class SocketSource:
     """Telemetry source reading line-delimited JSON from a feed socket."""
 
-    def __init__(self, host: str, port: int, connect_timeout_s: float = 10.0):
+    def __init__(self, host: str, port: int):
         self._latest: TelemetrySample | None = None
         self._last_returned_ms: int | None = None
         self._sock = socket.create_connection((host, port),
-                                              timeout=connect_timeout_s)
+                                              timeout=FEED_CONNECT_TIMEOUT_S)
         self._sock.settimeout(None)
         self._thread = threading.Thread(target=self._read_loop, daemon=True)
         self._thread.start()
@@ -271,6 +273,9 @@ class Agent:
                 continue
             if entry["op"] == RUNNING:
                 self._report(entry["experiment_id"], {"state": FAILED, "orphaned": True,
+                                                      "run_start_ms": entry["run_start_ms"]})
+            elif entry["op"] == PREEMPTED:
+                self._report(entry["experiment_id"], {"state": PREEMPTED,
                                                       "run_start_ms": entry["run_start_ms"]})
             shutil.rmtree(workdir, ignore_errors=True)
 
@@ -498,15 +503,11 @@ class Agent:
 
     def _seal(self, run: LocalRun, now: int) -> None:
         """Write artifacts and queue the upload + completion report."""
-        data_files = []
-        if run.spec.kind in DATA_FILENAMES:
-            name = DATA_FILENAMES[run.spec.kind]
-            header = {"PING": PING_HEADER, "HPING": PING_HEADER,
-                      "TRACEROUTE": TRACEROUTE_HEADER,
-                      "BULK_FLOW": BULK_FLOW_HEADER}[run.spec.kind]
+        if run.spec.kind in DATA_FILES:
+            name, header = DATA_FILES[run.spec.kind]
             lines = [header] + [",".join(str(v) for v in row) for row in run.rows]
             (run.workdir / name).write_text("\n".join(lines) + "\n")
-            data_files.append(name)
+            data_files = [name]
         else:
             data_files = sorted(p.name for p in run.workdir.iterdir()
                                 if p.is_file() and p.name != "stdout.log")
@@ -690,10 +691,8 @@ class TelemetryService:
 
 
 def telemetry_service(seed: int = 0, host: str = "127.0.0.1", port: int = 0,
-                      interval_s: float = 1.0,
-                      config: TerminalModelConfig | None = None,
-                      log_path=None) -> TelemetryService:
-    sim = TerminalSim(config or TerminalModelConfig(rng_seed=seed))
+                      interval_s: float = 1.0, log_path=None) -> TelemetryService:
+    sim = TerminalSim(TerminalModelConfig(rng_seed=seed))
     publisher = TelemetryPublisher(str(log_path) if log_path else None)
     srv, _ = serve_telemetry(sim, publisher, host, port)
     stop = threading.Event()

@@ -184,8 +184,7 @@ class SpikeInterval:
     nearest_15s_multiple: int
 
 
-def detect_spikes(series, k_mult: float, min_persist_s: int,
-                  window_s: int = SPIKE_BASELINE_WINDOW_S) -> list[SpikeInterval]:
+def detect_spikes(series, k_mult: float, min_persist_s: int) -> list[SpikeInterval]:
     """Intervals where latency holds at or above k_mult x rolling median.
 
     The baseline is a trailing 120 s rolling median, so it stays anchored to
@@ -199,7 +198,7 @@ def detect_spikes(series, k_mult: float, min_persist_s: int,
         raise ValueError("k_mult must exceed 1")
     baseline = np.empty(len(arr))
     for i in range(len(arr)):
-        lo = max(0, i - window_s + 1)
+        lo = max(0, i - SPIKE_BASELINE_WINDOW_S + 1)
         baseline[i] = np.median(arr[lo:i + 1])
     mask = arr >= k_mult * baseline
 

@@ -464,12 +464,12 @@ class FlowStats:
     dropped_packets: int
     inflight_at_end: int
 
-    def mean_tput_bps(self, skip_s: int = STARTUP_CUT_S) -> float:
-        rows = [r.goodput_bps for r in self.per_second if r.t_s >= skip_s]
+    def mean_tput_bps(self) -> float:
+        rows = [r.goodput_bps for r in self.per_second if r.t_s >= STARTUP_CUT_S]
         return float(np.mean(rows)) if rows else 0.0
 
-    def p95_rtt_ms(self, skip_s: int = STARTUP_CUT_S) -> float:
-        rows = [r.srtt_ms for r in self.per_second if r.t_s >= skip_s and r.srtt_ms > 0]
+    def p95_rtt_ms(self) -> float:
+        rows = [r.srtt_ms for r in self.per_second if r.t_s >= STARTUP_CUT_S and r.srtt_ms > 0]
         if not rows:
             return 0.0
         return nearest_rank(np.sort(np.array(rows)), 95)
@@ -834,11 +834,9 @@ def fairness(n_cubic: int, n_bbr: int, params: CcParams, profile: LinkProfile,
 
 
 def spiky_lossy_profile(duration_s: int, capacity_bps: float = 8e6,
-                        loss: float = 0.03, seed: int = 0,
-                        base_owd_ms: float = 17.5) -> LinkProfile:
+                        loss: float = 0.03, seed: int = 0) -> LinkProfile:
     """Synthetic challenge profile: latency spikes in 15 s quanta with
     capacity dips, plus a constant non-congestive loss floor (2-5% is the
     regime of interest)."""
-    cfg = TerminalModelConfig(rng_seed=seed, p_bad_handover=0.08,
-                              base_latency_ms=base_owd_ms * 2)
+    cfg = TerminalModelConfig(rng_seed=seed, p_bad_handover=0.08)
     return LinkProfile.from_terminal(cfg, duration_s, capacity_bps, loss_floor=loss)

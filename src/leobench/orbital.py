@@ -44,6 +44,11 @@ SECONDS_PER_DAY = 86400.0
 DEFAULT_ELEVATION_MASK_DEG = 25.0
 MAX_EPHEMERIS_AGE_DAYS = 7.0
 
+SHELL_PLANES = 22
+SHELL_SATS_PER_PLANE = 20
+SHELL_INCLINATION_DEG = 53.0
+SHELL_ALTITUDE_KM = 550.0
+
 _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
@@ -400,11 +405,7 @@ def visible_sats(site: GroundSite,
     return out
 
 
-def synthetic_constellation(n_planes: int = 22,
-                            sats_per_plane: int = 20,
-                            inclination_deg: float = 53.0,
-                            altitude_km: float = 550.0,
-                            epoch: datetime | None = None,
+def synthetic_constellation(epoch: datetime | None = None,
                             phase_offset_deg: float = 5.0) -> list[TleRecord]:
     """A Walker-style shell of circular orbits, as TleRecords.
 
@@ -413,17 +414,17 @@ def synthetic_constellation(n_planes: int = 22,
     """
     if epoch is None:
         epoch = datetime(2026, 1, 1, tzinfo=timezone.utc)
-    a = EARTH_RADIUS_KM + altitude_km
+    a = EARTH_RADIUS_KM + SHELL_ALTITUDE_KM
     n_rad = math.sqrt(MU_EARTH_KM3_S2 / a ** 3)
     mean_motion = n_rad * SECONDS_PER_DAY / (2.0 * math.pi)
     catalog = []
-    for p in range(n_planes):
-        raan = 360.0 * p / n_planes
-        for s in range(sats_per_plane):
-            anomaly = (360.0 * s / sats_per_plane + phase_offset_deg * p) % 360.0
+    for p in range(SHELL_PLANES):
+        raan = 360.0 * p / SHELL_PLANES
+        for s in range(SHELL_SATS_PER_PLANE):
+            anomaly = (360.0 * s / SHELL_SATS_PER_PLANE + phase_offset_deg * p) % 360.0
             catalog.append(TleRecord(
                 name=f"SHELL-{p:02d}-{s:02d}",
-                inclination_deg=inclination_deg,
+                inclination_deg=SHELL_INCLINATION_DEG,
                 raan_deg=raan,
                 eccentricity=0.0,
                 arg_perigee_deg=0.0,

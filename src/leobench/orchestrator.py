@@ -41,6 +41,7 @@ OVERHEAD_CLASSES = ("OVERHEAD", "NO_OVERHEAD")
 TERMINAL_STATES = ("COMPLETED", "FAILED", "KILLED", "PREEMPTED")
 
 MAX_REQUEUES = 1   # times a PREEMPTED run is re-enqueued before it sticks
+CLIENT_TIMEOUT_S = 10.0
 
 HEALTHY = "HEALTHY"
 STALE = "STALE"
@@ -546,14 +547,13 @@ class LocalClient:
 class OrchestratorClient:
     """One short-lived TCP connection per request."""
 
-    def __init__(self, host: str, port: int, timeout_s: float = 10.0):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = int(port)
-        self.timeout_s = float(timeout_s)
 
     def call(self, msg: dict) -> dict:
         with socket.create_connection((self.host, self.port),
-                                      timeout=self.timeout_s) as conn:
+                                      timeout=CLIENT_TIMEOUT_S) as conn:
             with conn.makefile("rw", encoding="utf-8") as fh:
                 fh.write(json.dumps(msg) + "\n")
                 fh.flush()

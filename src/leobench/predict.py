@@ -348,7 +348,7 @@ class RidgeARModel(Model):
                 "beta": self.beta.tolist(), "lam": self.lam}
 
 
-def _fit_ridge_ar(dataset: Dataset, lam: float = RIDGE_LAMBDA) -> RidgeARModel:
+def _fit_ridge_ar(dataset: Dataset) -> RidgeARModel:
     idx = _lag_indices(dataset.feature_names)
     X = dataset.features[:, idx]
     y = dataset.targets
@@ -366,10 +366,10 @@ def _fit_ridge_ar(dataset: Dataset, lam: float = RIDGE_LAMBDA) -> RidgeARModel:
     Z[:, ~keep] = 0.0
     t = (y - y_mean) / y_std
     d = Z.shape[1]
-    beta = np.linalg.solve(Z.T @ Z + lam * np.eye(d), Z.T @ t)
+    beta = np.linalg.solve(Z.T @ Z + RIDGE_LAMBDA * np.eye(d), Z.T @ t)
     beta[~keep] = 0.0
     return RidgeARModel(tuple(idx), dataset.feature_names, x_mean, x_std_safe,
-                        y_mean, y_std, beta, lam)
+                        y_mean, y_std, beta, RIDGE_LAMBDA)
 
 
 # --- gradient-boosted trees ---------------------------------------------

@@ -16,6 +16,12 @@ fixed fractional header overhead on experiment-offered traffic, so the
 consumption-tracking code downstream has the same artifacts to deal with as
 against real hardware. Everything is driven by a single seeded RNG: one seed
 gives one bit-identical stream.
+
+Facts of the measured system take one value each, so they are module
+constants: 15 s reconfiguration quanta, a 1 s counter lag, 2-5 s outages, a
+gateway 600 km poleward, and the path. PoP latency is the LAN hop S1 (1 ms)
++ the bent-pipe RTT + 9 ms of PoP scheduling + the 13 ms PoP-to-destination
+tail; the agent's traceroute model reads S1 and the tail from here.
 """
 
 from __future__ import annotations
@@ -38,6 +44,14 @@ from .orbital import (
 )
 
 SPEED_OF_LIGHT_KM_S = 299792.458
+
+HANDOVER_PERIOD_MS = 15_000
+COUNTER_LAG_MS = 1000
+S1_MS = 1.0            # client LAN hop
+S2_SCHED_MS = 9.0      # PoP scheduling, folded into the bent-pipe segment
+POP_TO_DEST_MS = 13.0  # PoP-to-destination tail
+OUTAGE_DURATION_S = (2.0, 5.0)
+GATEWAY_GROUND_KM = 600.0
 
 # |N(0, s)| has median 0.6745*s; dividing by it makes the configured rate the
 # median per-second orientation step.
@@ -111,27 +125,17 @@ class TelemetrySample:
 class TerminalModelConfig:
     base_latency_ms: float = 35.0
     spike_multiplier: tuple[float, float] = (2.0, 3.0)
-    handover_period_s: int = 15
     p_bad_handover: float = 0.02
     spike_duration_quanta: float = 1.5   # mean of the geometric quanta count
     drift_rate_deg_per_s: float = 1e-4
     az_band: tuple[float, float] = (0.2, 1.8)
     el_band: tuple[float, float] = (64.5, 65.4)
-    counter_lag_s: float = 1.0
     rng_seed: int = 0
-    # path-composition constants: client LAN hop, PoP scheduling overhead
-    # folded into the bent-pipe segment, and the PoP-to-destination tail
-    s1_ms: float = 1.0
-    s2_sched_ms: float = 9.0
-    pop_to_dest_ms: float = 13.0
     noise_ms: float = 1.5
     base_drop_rate: float = 0.004
     edge_drop_rate: tuple[float, float] = (0.05, 0.12)
     p_outage_per_s: float = 0.0
-    outage_duration_s: tuple[float, float] = (2.0, 5.0)
     header_overhead_frac: float = 0.14
-    elevation_mask_deg: float = 25.0
-    gateway_ground_km: float = 600.0
     # handover indices that are always bad, for tests needing known spikes
     forced_bad_handovers: tuple[int, ...] = ()
 
@@ -146,8 +150,6 @@ class TerminalModelConfig:
                 raise ValueError(f"{name} is empty: [{lo}, {hi}]")
         if self.spike_duration_quanta < 1.0:
             raise ValueError("mean spike quanta must be >= 1")
-        if self.handover_period_s <= 0:
-            raise ValueError("handover period must be positive")
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ class TerminalSim:
         self._rng = np.random.default_rng(self.config.rng_seed)
 
         gw_lat = self.site.latitude_deg + math.degrees(
-            self.config.gateway_ground_km / EARTH_RADIUS_KM)
+            GATEWAY_GROUND_KM / EARTH_RADIUS_KM)
         gateway = GroundSite(min(gw_lat, 89.0), self.site.longitude_deg)
         # both ends of the bent pipe are fixed: their positions are taken once
         self._site_ecef = self.site.ecef_km()
@@ -254,7 +256,7 @@ class TerminalSim:
 
     def _reselect(self, t_ms: int) -> None:
         t = datetime.fromtimestamp(t_ms / 1000.0, tz=timezone.utc)
-        vis = visible_sats(self.site, self._catalog, t, self.config.elevation_mask_deg)
+        vis = visible_sats(self.site, self._catalog, t)
         if vis:
             by_name = {r.name: r for r in self._catalog}
             chosen = by_name[vis[0].sat_id]
@@ -283,7 +285,7 @@ class TerminalSim:
             quanta = int(self._rng.geometric(1.0 / cfg.spike_duration_quanta))
             spike = SpikeEvent(
                 start_ms=boundary_ms,
-                duration_ms=quanta * cfg.handover_period_s * 1000,
+                duration_ms=quanta * HANDOVER_PERIOD_MS,
                 add_ms=(mult - 1.0) * cfg.base_latency_ms,
                 multiplier=mult,
             )
@@ -308,7 +310,7 @@ class TerminalSim:
         # cadence jitters
         while now_ms >= self._next_handover_ms:
             self._handover(self._next_handover_ms)
-            self._next_handover_ms += cfg.handover_period_s * 1000
+            self._next_handover_ms += HANDOVER_PERIOD_MS
 
         # fixed per-step draw order keeps the stream seed-deterministic
         noise = float(self._rng.uniform(-cfg.noise_ms, cfg.noise_ms))
@@ -323,7 +325,7 @@ class TerminalSim:
         self._el = _reflect(self._el + el_step, *cfg.el_band)
 
         if self._outage_until_ms < now_ms and outage_draw < cfg.p_outage_per_s:
-            dur = float(self._rng.uniform(*cfg.outage_duration_s))
+            dur = float(self._rng.uniform(*OUTAGE_DURATION_S))
             self._outage_until_ms = now_ms + int(dur * 1000)
 
         in_spike = self._spike is not None and self._spike.start_ms <= now_ms < self._spike.end_ms
@@ -333,14 +335,14 @@ class TerminalSim:
             self._spike = None
         self._prev_in_spike = in_spike
 
-        bytes_down, bytes_up = self._counters_at(now_ms - int(cfg.counter_lag_s * 1000))
+        bytes_down, bytes_up = self._counters_at(now_ms - COUNTER_LAG_MS)
 
         if now_ms < self._outage_until_ms:
             sample = TelemetrySample(now_ms, None, None, self._az, self._el,
                                      bytes_down, bytes_up, "OUTAGE")
         else:
-            latency = cfg.s1_ms + self._bent_pipe_rtt_ms(now_ms) + cfg.s2_sched_ms \
-                + cfg.pop_to_dest_ms + noise + add
+            latency = S1_MS + self._bent_pipe_rtt_ms(now_ms) + S2_SCHED_MS \
+                + POP_TO_DEST_MS + noise + add
             drop = edge_draw if spike_edge else drop_draw
             sample = TelemetrySample(now_ms, max(latency, 0.1), drop,
                                      self._az, self._el, bytes_down, bytes_up, "ACTIVE")

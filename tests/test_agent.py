@@ -521,6 +521,28 @@ def test_restart_runs_a_preempted_window_the_orchestrator_requeued(tmp_path):
     assert len(store.list_runs("bulk")) == 1
 
 
+def test_restart_reports_a_preemption_the_dead_process_never_sent(tmp_path):
+    """The PREEMPTED report is still queued in memory when the process dies;
+    the restart must send it, or the orchestrator never requeues the run."""
+    clock, orch, store, sim, agent = make_rig(tmp_path)
+    orch.submit_experiment(window_spec("bulk", 2000, 40000, kind="BULK_FLOW",
+                                       overhead="OVERHEAD",
+                                       params={"rate_bps": 4e6}))
+    sim.inject_user_traffic(50e6, 10000, 20000)
+    while not agent.preemption_log:
+        drive(agent, clock, 1)
+    assert orch.query("bulk")["runs"][0]["state"] == "RUNNING"
+    assert journal_entries(tmp_path / "agent")[-1]["op"] == "PREEMPTED"
+
+    agent2 = Agent("n1", LocalClient(orch), store,
+                   SimSource(TerminalSim(TerminalModelConfig(rng_seed=9))),
+                   clock=clock, workdir=tmp_path / "agent", heartbeat_every_s=5)
+    drive(agent2, clock, 60)
+
+    assert orch.query("bulk")["runs"][0]["state"] == "COMPLETED"
+    assert len(store.list_runs("bulk")) == 1
+
+
 def test_restart_uploads_a_sealed_run_the_store_never_took(tmp_path):
     clock, orch, store, sim, agent = make_rig(tmp_path)
 
