@@ -19,9 +19,10 @@ gives one bit-identical stream.
 
 Facts of the measured system take one value each, so they are module
 constants: 15 s reconfiguration quanta, a 1 s counter lag, 2-5 s outages, a
-gateway 600 km poleward, and the path. PoP latency is the LAN hop S1 (1 ms)
-+ the bent-pipe RTT + 9 ms of PoP scheduling + the 13 ms PoP-to-destination
-tail; the agent's traceroute model reads S1 and the tail from here.
+gateway 600 km poleward, and the path. PoP latency sums the LAN hop S1
+(1 ms), the bent-pipe RTT, 9 ms of PoP scheduling and the 13 ms
+PoP-to-destination tail; the agent's traceroute model reads S1 and the tail
+from here.
 """
 
 from __future__ import annotations
