@@ -46,8 +46,8 @@ from .journal import Journal
 from .orchestrator import _ID_RE, ExperimentSpec
 from .store import ResultsStore, UploadFailure
 from .telemetry import ConsumptionTracker, TelemetryWindow, UserTrafficDetector
-from .terminal_sim import (POP_TO_DEST_MS, S1_MS, TelemetryPublisher, TelemetrySample,
-                           TerminalModelConfig, TerminalSim, serve_telemetry)
+from .terminal_sim import (HEADER_OVERHEAD_FRAC, POP_TO_DEST_MS, S1_MS, UPLINK_SHARE,
+                           TelemetrySample, TerminalSim)
 from .triggers import BindingState, TriggerState, evaluate
 
 PENDING = "PENDING"
@@ -92,7 +92,7 @@ DEFAULT_TARGET = "142.251.33.14"
 
 # terminal counters carry header overhead on the downlink and a thin ack
 # stream on the uplink, so the tracker must expect offered * this factor
-ACCOUNTING_FACTOR = (1.0 + 0.14) * 1.03
+ACCOUNTING_FACTOR = (1.0 + HEADER_OVERHEAD_FRAC) * (1.0 + UPLINK_SHARE)
 
 # wait before each retry of a failed upload; the last one repeats
 UPLOAD_BACKOFF_S = (1.0, 2.0, 5.0, 10.0, 30.0)
@@ -148,6 +148,13 @@ class LocalRun:
     @property
     def active(self) -> bool:
         return self.state in (PENDING, RUNNING, PREEMPTED)
+
+    def stop_process(self) -> None:
+        """Kill a CUSTOM run's process if it still runs, and drop it."""
+        if self.proc is not None and self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait(timeout=5)
+        self.proc = None
 
 
 class SimSource:
@@ -325,10 +332,7 @@ class Agent:
         if self._last_sample is not None and sample.ts_ms <= self._last_sample.ts_ms:
             return
         self._last_sample = sample
-        try:
-            self.window.push(sample)
-        except ValueError:
-            pass
+        self.window.push(sample)
         delta = self.tracker.push(
             sample, self._offered_total_bps * ACCOUNTING_FACTOR)
         if delta is None:
@@ -353,10 +357,7 @@ class Agent:
                 run.transition(PENDING)
 
     def _preempt(self, run: LocalRun, now: int) -> None:
-        if run.proc is not None and run.proc.poll() is None:
-            run.proc.kill()
-            run.proc.wait(timeout=5)
-            run.proc = None
+        run.stop_process()
         run.remaining_ms = max(run.end_ms - now, 0) if run.end_ms else 0
         run.transition(PREEMPTED)
         run.stdout_lines.append(f"preempted at {now} for user traffic")
@@ -478,22 +479,15 @@ class Agent:
             if run.spec.kind == "CUSTOM":
                 rc = run.proc.poll() if run.proc is not None else 1
                 if rc is not None:
-                    run.proc = None
                     self._finish(run, COMPLETED if rc == 0 else FAILED, now)
                 elif now >= run.end_ms:
-                    run.proc.kill()
-                    run.proc.wait(timeout=5)
-                    run.proc = None
                     run.stdout_lines.append(f"killed at {now}: wall-clock limit")
                     self._finish(run, KILLED, now)
             elif now >= run.end_ms:
                 self._finish(run, COMPLETED, now)
 
     def _finish(self, run: LocalRun, state: str, now: int) -> None:
-        if run.proc is not None and run.proc.poll() is None:
-            run.proc.kill()
-            run.proc.wait(timeout=5)
-        run.proc = None
+        run.stop_process()
         run.transition(state)
         run.stdout_lines.append(f"finished {state} at {now}, rows={len(run.rows)}")
         if run.spec.kind == "BULK_FLOW":
@@ -670,42 +664,3 @@ class Agent:
     def local_runs(self) -> list[LocalRun]:
         return self._iter_runs()
 
-
-@dataclass
-class TelemetryService:
-    """A terminal simulator stepped on the wall clock and served over TCP."""
-
-    sim: TerminalSim
-    publisher: TelemetryPublisher
-    server: socket.socket
-    port: int
-    stop_event: threading.Event
-
-    def close(self) -> None:
-        self.stop_event.set()
-        try:
-            self.server.close()
-        except OSError:
-            pass
-        self.publisher.close()
-
-
-def telemetry_service(seed: int = 0, host: str = "127.0.0.1", port: int = 0,
-                      interval_s: float = 1.0, log_path=None) -> TelemetryService:
-    sim = TerminalSim(TerminalModelConfig(rng_seed=seed))
-    publisher = TelemetryPublisher(str(log_path) if log_path else None)
-    srv, _ = serve_telemetry(sim, publisher, host, port)
-    stop = threading.Event()
-    clock = WallClock()
-
-    def step_loop():
-        last = None
-        while not stop.is_set():
-            now = clock.now_ms()
-            if last is None or now > last:
-                publisher.publish(sim.step(now))
-                last = now
-            stop.wait(interval_s)
-
-    threading.Thread(target=step_loop, daemon=True).start()
-    return TelemetryService(sim, publisher, srv, srv.getsockname()[1], stop)

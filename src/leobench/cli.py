@@ -35,16 +35,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import abr, dissect, leolink, predict
-from .agent import Agent, SimSource, SocketSource, telemetry_service
+from .agent import Agent, SimSource, SocketSource
 from .orbital import GroundSite, load_catalog, synthetic_constellation
 from .orchestrator import _ID_RE, Orchestrator, OrchestratorClient, _error
 from .store import ResultsStore
 from .telemetry import InsufficientHistory
-from .terminal_sim import TelemetrySample, TerminalModelConfig, TerminalSim
+from .terminal_sim import (DEFAULT_SITE, TelemetrySample, TelemetryServer,
+                           TerminalModelConfig, TerminalSim)
 from .triggers import OrbitalContext
 
 ENV_PREFIX = "LEO_"
-DEFAULT_SITE = (47.6, -122.3)
 CONFLICT_EXIT = 2
 
 
@@ -230,15 +230,6 @@ def read_telemetry_jsonl(path: str) -> list[TelemetrySample]:
     return samples
 
 
-def traceroute_runs(text: str) -> list[list[tuple[int, str, float]]]:
-    """Group agent traceroute rows into per-probe runs keyed by ts_ms."""
-    groups: dict[int, list[tuple[int, str, float]]] = {}
-    for row in csv.DictReader(io.StringIO(text)):
-        groups.setdefault(int(row["ts_ms"]), []).append(
-            (int(row["hop_index"]), row["hop_addr"], float(row["rtt_ms"])))
-    return [sorted(groups[ts]) for ts in sorted(groups)]
-
-
 def _fill_gaps(values: list[float | None]) -> list[float]:
     """Carry the last seen RTT through lost probes so the series stays 1 Hz."""
     first = next((v for v in values if v is not None), None)
@@ -329,8 +320,8 @@ def cmd_agent(args, cfg: CliConfig) -> int:
 
 
 def cmd_terminal_sim(args, cfg: CliConfig) -> int:
-    svc = telemetry_service(seed=args.seed, host=args.host, port=args.port,
-                            interval_s=args.interval_s, log_path=args.log)
+    svc = TelemetryServer(TerminalSim(TerminalModelConfig(rng_seed=args.seed)),
+                          args.host, args.port, args.interval_s, args.log)
     _announce({"listening": svc.port, "seed": args.seed})
     _wait(args.duration_s, threading.Event())
     svc.close()
@@ -411,7 +402,7 @@ def cmd_analyze_cdf(args, cfg: CliConfig) -> int:
 
 
 def cmd_analyze_segments(args, cfg: CliConfig) -> int:
-    runs = traceroute_runs(_read_text(args.input, "traceroute CSV"))
+    runs = dissect.load_traceroute_csv(_read_text(args.input, "traceroute CSV"))
     if not runs:
         fail("BadInput", f"{args.input}: no traceroute rows")
     segmap = dissect.SegmentMap.from_json(_read_text(args.map, "segment map"))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .terminal_sim import HANDOVER_PERIOD_MS
+
 SEGMENT_ORDER = ("S1", "S2", "S3", "S4", "S5", "S6")
 
 SPIKE_BASELINE_WINDOW_S = 120
@@ -202,6 +204,7 @@ def detect_spikes(series, k_mult: float, min_persist_s: int) -> list[SpikeInterv
         baseline[i] = np.median(arr[lo:i + 1])
     mask = arr >= k_mult * baseline
 
+    period_s = HANDOVER_PERIOD_MS // 1000
     out = []
     i = 0
     n = len(mask)
@@ -215,7 +218,7 @@ def detect_spikes(series, k_mult: float, min_persist_s: int) -> list[SpikeInterv
                 out.append(SpikeInterval(
                     start_s=i,
                     duration_s=duration,
-                    nearest_15s_multiple=int(round(duration / 15.0)) * 15,
+                    nearest_15s_multiple=int(round(duration / period_s)) * period_s,
                 ))
             i = j
         else:
@@ -296,9 +299,11 @@ def load_ping_csv(text: str) -> list[float | None]:
     return out
 
 
-def load_traceroute_csv(text: str) -> list[tuple[int, str, float]]:
-    """One traceroute run from agent output `ts_ms,hop_index,hop_addr,rtt_ms`."""
-    out = []
+def load_traceroute_csv(text: str) -> list[list[tuple[int, str, float]]]:
+    """Agent traceroute output `ts_ms,hop_index,hop_addr,rtt_ms` as per-probe
+    runs: rows grouped by ts_ms, runs in time order, hops sorted."""
+    groups: dict[int, list[tuple[int, str, float]]] = {}
     for row in csv.DictReader(io.StringIO(text)):
-        out.append((int(row["hop_index"]), row["hop_addr"], float(row["rtt_ms"])))
-    return out
+        groups.setdefault(int(row["ts_ms"]), []).append(
+            (int(row["hop_index"]), row["hop_addr"], float(row["rtt_ms"])))
+    return [sorted(groups[ts]) for ts in sorted(groups)]

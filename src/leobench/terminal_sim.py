@@ -18,23 +18,36 @@ against real hardware. Everything is driven by a single seeded RNG: one seed
 gives one bit-identical stream.
 
 Facts of the measured system take one value each, so they are module
-constants: 15 s reconfiguration quanta, a 1 s counter lag, 2-5 s outages, a
-gateway 600 km poleward, and the path. PoP latency sums the LAN hop S1
-(1 ms), the bent-pipe RTT, 9 ms of PoP scheduling and the 13 ms
-PoP-to-destination tail; the agent's traceroute model reads S1 and the tail
-from here.
+constants: 15 s reconfiguration quanta (HANDOVER_PERIOD_MS), a 1 s counter
+lag, 2-5 s outages, a gateway 600 km poleward, and the path. PoP latency
+sums the LAN hop S1 (1 ms), the bent-pipe RTT, 9 ms of PoP scheduling and
+the 13 ms PoP-to-destination tail; a bad handover adds (multiplier - 1) x
+BASE_LATENCY_MS. The dish drifts DRIFT_RATE_DEG_PER_S per second inside
+AZ_BAND x EL_BAND. Drop rate is drawn below BASE_DROP_RATE, and from
+EDGE_DROP_RATE on the sample where a spike starts or ends. Experiment
+traffic carries HEADER_OVERHEAD_FRAC on the downlink, and the uplink counter
+is UPLINK_SHARE of the downlink. DEFAULT_SITE is the terminal's site when
+none is given. The agent's traceroute model reads S1 and the tail, its
+consumption tracker the two counter shares, and `dissect` the handover
+period from here.
+
+TelemetryServer steps one TerminalSim on the wall clock and serves its
+samples over TCP as JSON lines, the feed the agent's SocketSource reads.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import socket
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
+from .clocks import WallClock
 from .orbital import (
     EARTH_RADIUS_KM,
     GroundSite,
@@ -53,10 +66,24 @@ S2_SCHED_MS = 9.0      # PoP scheduling, folded into the bent-pipe segment
 POP_TO_DEST_MS = 13.0  # PoP-to-destination tail
 OUTAGE_DURATION_S = (2.0, 5.0)
 GATEWAY_GROUND_KM = 600.0
+BASE_LATENCY_MS = 35.0
+DRIFT_RATE_DEG_PER_S = 1e-4
+AZ_BAND = (0.2, 1.8)
+EL_BAND = (64.5, 65.4)
+BASE_DROP_RATE = 0.004
+EDGE_DROP_RATE = (0.05, 0.12)
+HEADER_OVERHEAD_FRAC = 0.14
+UPLINK_SHARE = 0.03    # ack/request traffic, a thin fraction of the downlink
+DEFAULT_SITE = (47.6, -122.3)
 
-# |N(0, s)| has median 0.6745*s; dividing by it makes the configured rate the
+# a feed client whose one send waits this long is closed and dropped
+SEND_TIMEOUT_S = 1.0
+
+# |N(0, s)| has median 0.6745*s; dividing by it makes DRIFT_RATE_DEG_PER_S the
 # median per-second orientation step.
 _MEDIAN_ABS_NORMAL = 0.6745
+
+log = logging.getLogger(__name__)
 
 WIRE_KEYS = ("ts_ms", "pop_latency_ms", "pop_drop_rate", "az_deg", "el_deg",
              "bytes_down", "bytes_up", "state")
@@ -124,19 +151,12 @@ class TelemetrySample:
 
 @dataclass
 class TerminalModelConfig:
-    base_latency_ms: float = 35.0
     spike_multiplier: tuple[float, float] = (2.0, 3.0)
     p_bad_handover: float = 0.02
     spike_duration_quanta: float = 1.5   # mean of the geometric quanta count
-    drift_rate_deg_per_s: float = 1e-4
-    az_band: tuple[float, float] = (0.2, 1.8)
-    el_band: tuple[float, float] = (64.5, 65.4)
     rng_seed: int = 0
     noise_ms: float = 1.5
-    base_drop_rate: float = 0.004
-    edge_drop_rate: tuple[float, float] = (0.05, 0.12)
     p_outage_per_s: float = 0.0
-    header_overhead_frac: float = 0.14
     # handover indices that are always bad, for tests needing known spikes
     forced_bad_handovers: tuple[int, ...] = ()
 
@@ -145,10 +165,6 @@ class TerminalModelConfig:
             raise ValueError("p_bad_handover must be a probability")
         if not 0.0 <= self.p_outage_per_s <= 1.0:
             raise ValueError("p_outage_per_s must be a probability")
-        for name in ("az_band", "el_band"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} is empty: [{lo}, {hi}]")
         if self.spike_duration_quanta < 1.0:
             raise ValueError("mean spike quanta must be >= 1")
 
@@ -166,18 +182,14 @@ class SpikeEvent:
 
 
 class TerminalSim:
-    """Stateful terminal model. Call step(now_ms) at roughly 1 Hz.
-
-    One writer thread steps the model; any number of readers may take
-    `latest` (assignment of the frozen sample is the atomic handoff).
-    """
+    """Stateful terminal model. Call step(now_ms) at roughly 1 Hz."""
 
     def __init__(self,
                  config: TerminalModelConfig | None = None,
                  site: GroundSite | None = None,
                  catalog: list[TleRecord] | None = None):
         self.config = config or TerminalModelConfig()
-        self.site = site or GroundSite(47.6, -122.3)
+        self.site = site or GroundSite(*DEFAULT_SITE)
         self._catalog = catalog
         self._rng = np.random.default_rng(self.config.rng_seed)
 
@@ -197,16 +209,14 @@ class TerminalSim:
         self._prev_in_spike = False
         self._outage_until_ms = -1
 
-        az0 = 0.5 * (self.config.az_band[0] + self.config.az_band[1])
-        el0 = 0.5 * (self.config.el_band[0] + self.config.el_band[1])
-        self._az, self._el = az0, el0
+        self._az = 0.5 * (AZ_BAND[0] + AZ_BAND[1])
+        self._el = 0.5 * (EL_BAND[0] + EL_BAND[1])
 
         self._injections: list[tuple[int, int, float]] = []   # (start, end, bps)
         self._experiment_segments: list[tuple[int, float]] = [(0, 0.0)]
 
         self.spike_log: list[SpikeEvent] = []
         self.handover_log: list[tuple[int, str]] = []
-        self.latest: TelemetrySample | None = None
 
     # -- traffic ----------------------------------------------------------
 
@@ -237,7 +247,7 @@ class TerminalSim:
             overlap_ms = min(e, t_ms) - s
             if overlap_ms > 0:
                 total += bps / 8.0 * min(overlap_ms, e - s) / 1000.0
-        overhead = 1.0 + self.config.header_overhead_frac
+        overhead = 1.0 + HEADER_OVERHEAD_FRAC
         segs = self._experiment_segments
         for i, (s, bps) in enumerate(segs):
             e = segs[i + 1][0] if i + 1 < len(segs) else t_ms
@@ -250,8 +260,7 @@ class TerminalSim:
         if self._start_ms is None or t_ms < self._start_ms:
             return 0, 0
         down = self._offered_bytes_down(t_ms)
-        # uplink is ack/request traffic, a thin fraction of the downlink
-        return int(down), int(down * 0.03)
+        return int(down), int(down * UPLINK_SHARE)
 
     # -- geometry ---------------------------------------------------------
 
@@ -287,7 +296,7 @@ class TerminalSim:
             spike = SpikeEvent(
                 start_ms=boundary_ms,
                 duration_ms=quanta * HANDOVER_PERIOD_MS,
-                add_ms=(mult - 1.0) * cfg.base_latency_ms,
+                add_ms=(mult - 1.0) * BASE_LATENCY_MS,
                 multiplier=mult,
             )
             self._spike = spike
@@ -315,15 +324,15 @@ class TerminalSim:
 
         # fixed per-step draw order keeps the stream seed-deterministic
         noise = float(self._rng.uniform(-cfg.noise_ms, cfg.noise_ms))
-        sigma = cfg.drift_rate_deg_per_s / _MEDIAN_ABS_NORMAL
+        sigma = DRIFT_RATE_DEG_PER_S / _MEDIAN_ABS_NORMAL
         az_step = float(self._rng.normal(0.0, sigma))
         el_step = float(self._rng.normal(0.0, sigma))
-        drop_draw = float(self._rng.uniform(0.0, cfg.base_drop_rate))
-        edge_draw = float(self._rng.uniform(*cfg.edge_drop_rate))
+        drop_draw = float(self._rng.uniform(0.0, BASE_DROP_RATE))
+        edge_draw = float(self._rng.uniform(*EDGE_DROP_RATE))
         outage_draw = float(self._rng.random())
 
-        self._az = _reflect(self._az + az_step, *cfg.az_band)
-        self._el = _reflect(self._el + el_step, *cfg.el_band)
+        self._az = _reflect(self._az + az_step, *AZ_BAND)
+        self._el = _reflect(self._el + el_step, *EL_BAND)
 
         if self._outage_until_ms < now_ms and outage_draw < cfg.p_outage_per_s:
             dur = float(self._rng.uniform(*OUTAGE_DURATION_S))
@@ -347,7 +356,6 @@ class TerminalSim:
             drop = edge_draw if spike_edge else drop_draw
             sample = TelemetrySample(now_ms, max(latency, 0.1), drop,
                                      self._az, self._el, bytes_down, bytes_up, "ACTIVE")
-        self.latest = sample
         return sample
 
     # -- introspection ----------------------------------------------------
@@ -373,71 +381,83 @@ def _reflect(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-class TelemetryPublisher:
-    """Fan out each new sample as a JSON line: to a file, and to any
-    connected stream-socket subscribers."""
+class TelemetryServer:
+    """A terminal simulator stepped on the wall clock and served over TCP.
 
-    def __init__(self, path: str | None = None):
-        self._path = path
-        self._file = open(path, "a", buffering=1) if path else None
-        self._subscribers: list = []
-        self._lock = threading.Lock()
+    Each step's sample becomes one JSON line: appended to the log file when
+    one is given, then sent to every connected client. A client that
+    connects gets the latest line first. A client whose one send waits
+    SEND_TIMEOUT_S is closed and dropped, so a reader that stalls delays the
+    others by at most that, once.
+    """
 
-    def publish(self, sample: TelemetrySample) -> None:
-        line = sample.to_json_line() + "\n"
-        if self._file:
-            self._file.write(line)
-        with self._lock:
-            dead = []
-            for conn in self._subscribers:
-                try:
-                    conn.sendall(line.encode())
-                except OSError:
-                    dead.append(conn)
-            for conn in dead:
-                self._subscribers.remove(conn)
+    def __init__(self, sim: TerminalSim, host: str = "127.0.0.1", port: int = 0,
+                 interval_s: float = 1.0, log_path=None):
+        self._sim = sim
+        self._log_file = open(log_path, "a", buffering=1) if log_path else None
+        self._clients: list[socket.socket] = []
+        self._latest: bytes | None = None
+        self._lock = threading.Lock()   # held while sending, so lines keep their order
+        self._stop = threading.Event()
+        self._server = socket.create_server((host, port))
+        self.port = self._server.getsockname()[1]
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+        self._stepper = threading.Thread(target=self._step_loop, args=(interval_s,),
+                                         daemon=True)
+        self._stepper.start()
 
-    def attach(self, conn) -> None:
-        with self._lock:
-            self._subscribers.append(conn)
+    def _send(self, conn: socket.socket, line: bytes) -> bool:
+        try:
+            conn.sendall(line)
+            return True
+        except socket.timeout:
+            log.warning("dropped a feed client: a send waited %.1f s", SEND_TIMEOUT_S)
+        except OSError:
+            pass
+        conn.close()
+        return False
 
-    def close(self) -> None:
-        if self._file:
-            self._file.close()
-        with self._lock:
-            for conn in self._subscribers:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._subscribers.clear()
-
-
-def serve_telemetry(sim: TerminalSim, publisher: TelemetryPublisher, host: str, port: int):
-    """Bind a localhost stream socket; each accepted client gets every
-    subsequent sample as line-delimited JSON. Returns (server_socket, thread);
-    caller owns shutdown."""
-    import socket
-
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(8)
-
-    def accept_loop():
+    def _accept_loop(self) -> None:
         while True:
             try:
-                conn, _ = srv.accept()
+                conn, _ = self._server.accept()
             except OSError:
                 return
-            if sim.latest is not None:
-                try:
-                    conn.sendall((sim.latest.to_json_line() + "\n").encode())
-                except OSError:
+            conn.settimeout(SEND_TIMEOUT_S)
+            with self._lock:
+                if self._stop.is_set():
                     conn.close()
-                    continue
-            publisher.attach(conn)
+                    return
+                if self._latest is None or self._send(conn, self._latest):
+                    self._clients.append(conn)
 
-    thread = threading.Thread(target=accept_loop, daemon=True)
-    thread.start()
-    return srv, thread
+    def _step_loop(self, interval_s: float) -> None:
+        clock = WallClock()
+        last = None
+        while not self._stop.is_set():
+            now = clock.now_ms()
+            if last is None or now > last:
+                line = self._sim.step(now).to_json_line() + "\n"
+                last = now
+                if self._log_file:
+                    self._log_file.write(line)
+                with self._lock:
+                    self._latest = line.encode()
+                    self._clients = [c for c in self._clients
+                                     if self._send(c, self._latest)]
+            self._stop.wait(interval_s)
+
+    def close(self) -> None:
+        self._stop.set()
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)   # wakes the blocked accept
+        except OSError:
+            pass
+        self._server.close()
+        self._stepper.join()
+        with self._lock:
+            for conn in self._clients:
+                conn.close()
+            self._clients.clear()
+        if self._log_file:
+            self._log_file.close()

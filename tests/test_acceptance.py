@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from leobench import abr, dissect, predict
-from leobench.agent import (Agent, SimSource, SocketSource, telemetry_service,
-                            traceroute_hops)
+from leobench.agent import Agent, SimSource, SocketSource, traceroute_hops
 from leobench.clocks import SimClock
 from leobench.leolink import (CcParams, LinkProfile, fairness, run_flow,
                               spiky_lossy_profile, sweep)
@@ -27,7 +26,7 @@ from leobench.orchestrator import (ConflictError, ExperimentSpec, LocalClient,
                                    Orchestrator, OrchestratorClient)
 from leobench.store import ResultsStore
 from leobench.telemetry import TelemetryWindow
-from leobench.terminal_sim import TerminalModelConfig, TerminalSim
+from leobench.terminal_sim import TelemetryServer, TerminalModelConfig, TerminalSim
 from leobench.triggers import (TriggerBinding, TriggerState, evaluate,
                                parse_trigger, savings_report)
 
@@ -558,7 +557,7 @@ def test_criterion_10_abr():
 
 def test_criterion_11_end_to_end(tmp_path):
     t = time.monotonic()
-    svc = telemetry_service(seed=3, port=0, interval_s=0.25)
+    svc = TelemetryServer(TerminalSim(TerminalModelConfig(rng_seed=3)), interval_s=0.25)
     orch = Orchestrator(["n1", "n2"], heartbeat_interval_s=2.0)
     srv, _ = orch.serve("127.0.0.1", 0)
     port = srv.getsockname()[1]

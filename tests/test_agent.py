@@ -5,11 +5,11 @@ import time
 import pytest
 
 from leobench.agent import (Agent, IllegalTransition, LocalRun, SimSource,
-                            SocketSource, telemetry_service, traceroute_hops)
+                            SocketSource, traceroute_hops)
 from leobench.clocks import SimClock, WallClock
 from leobench.orchestrator import ExperimentSpec, LocalClient, Orchestrator
 from leobench.store import ResultsStore, UploadFailure
-from leobench.terminal_sim import TerminalModelConfig, TerminalSim
+from leobench.terminal_sim import TelemetryServer, TerminalModelConfig, TerminalSim
 
 
 def make_rig(tmp_path, seed=0, hb_every=5, sim_config=None, orch_kwargs=None):
@@ -660,7 +660,9 @@ def test_restart_after_a_crash_at_every_byte_offset_of_the_journal(tmp_path):
 # --- live telemetry feed --------------------------------------------------
 
 def test_socket_source_reads_served_telemetry(tmp_path):
-    svc = telemetry_service(seed=5, interval_s=0.05)
+    interval_s = 0.25
+    svc = TelemetryServer(TerminalSim(TerminalModelConfig(rng_seed=5)),
+                          interval_s=interval_s)
     src = None
     try:
         src = SocketSource("127.0.0.1", svc.port)
@@ -674,11 +676,10 @@ def test_socket_source_reads_served_telemetry(tmp_path):
         assert sample.state in ("ACTIVE", "OUTAGE")
         assert sample.ts_ms > 0
         # consumed samples are not returned twice
-        assert src.sample(clock.now_ms()) is None or True
-        time.sleep(0.1)
+        assert src.sample(clock.now_ms()) is None
+        time.sleep(2 * interval_s)
         newer = src.sample(clock.now_ms())
-        if newer is not None:
-            assert newer.ts_ms > sample.ts_ms
+        assert newer is not None and newer.ts_ms > sample.ts_ms
     finally:
         if src is not None:
             src.close()

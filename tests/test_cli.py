@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 
@@ -7,8 +8,7 @@ import pytest
 
 from leobench import dissect
 from leobench.agent import traceroute_hops
-from leobench.cli import (CliError, build_parser, load_config, main,
-                          traceroute_runs)
+from leobench.cli import CliError, build_parser, load_config, main
 from leobench.orchestrator import Orchestrator, OrchestratorClient
 from leobench.store import ResultsStore
 from leobench.terminal_sim import TerminalModelConfig, TerminalSim
@@ -271,7 +271,7 @@ def test_analyze_segments_matches_library(tmp_path, capsys):
     assert rc == 0
     # without --out the CSV precedes the payload line on stdout
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    runs = traceroute_runs(trace.read_text())
+    runs = dissect.load_traceroute_csv(trace.read_text())
     expected = dissect.segment_latencies(runs,
                                          dissect.SegmentMap.from_json(FIXTURES_MAP))
     assert payload["runs"] == 7
@@ -478,9 +478,24 @@ def test_orchestrate_on_an_existing_log_carries_on(tmp_path, capsys):
 
 def test_terminal_sim_announces_port(tmp_path, capsys):
     log = tmp_path / "tele.jsonl"
-    rc = main(["terminal-sim", "--seed", "3", "--duration-s", "1.3",
-               "--log", str(log)])
-    assert rc == 0
-    line = json.loads(capsys.readouterr().out.splitlines()[0])
+    out = {}
+    daemon = threading.Thread(target=lambda: out.setdefault("rc", main([
+        "terminal-sim", "--seed", "3", "--duration-s", "1.3",
+        "--log", str(log)])))
+    daemon.start()
+    announced, deadline = "", time.monotonic() + 10
+    while "\n" not in announced and time.monotonic() < deadline:
+        time.sleep(0.01)
+        announced += capsys.readouterr().out
+    line = json.loads(announced.splitlines()[0])
     assert line["listening"] > 0
-    assert log.is_file() and log.read_text().count("\n") >= 1
+    with socket.create_connection(("127.0.0.1", line["listening"]), timeout=10) as conn, \
+            conn.makefile("r", encoding="utf-8") as fh:
+        received = fh.read().splitlines()   # until the daemon closes the feed
+    daemon.join(timeout=10)
+    assert not daemon.is_alive() and out["rc"] == 0
+    with pytest.raises(ConnectionRefusedError):   # the feed's port is closed too
+        socket.create_connection(("127.0.0.1", line["listening"]))
+    logged = log.read_text().splitlines()
+    # the client gets the latest line on connecting, then every later one
+    assert received and logged[logged.index(received[0]):] == received

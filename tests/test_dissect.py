@@ -275,5 +275,9 @@ def test_load_agent_csvs():
     ping = "ts_ms,rtt_ms,lost\n1000,35.2,0\n2000,0,1\n3000,36.1,0\n"
     assert load_ping_csv(ping) == [35.2, None, 36.1]
     tr = ("ts_ms,hop_index,hop_addr,rtt_ms\n"
+          "2000,2,100.64.0.1,31.2\n2000,1,192.168.1.1,1.0\n"
           "1000,1,192.168.1.1,1.1\n1000,2,100.64.0.1,30.9\n")
-    assert load_traceroute_csv(tr) == [(1, "192.168.1.1", 1.1), (2, "100.64.0.1", 30.9)]
+    # rows group into one run per probe, in time order, hops sorted
+    assert load_traceroute_csv(tr) == [
+        [(1, "192.168.1.1", 1.1), (2, "100.64.0.1", 30.9)],
+        [(1, "192.168.1.1", 1.0), (2, "100.64.0.1", 31.2)]]

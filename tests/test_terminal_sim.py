@@ -1,11 +1,22 @@
+import json
+import socket
+import threading
+
 import numpy as np
 import pytest
 
 from leobench.terminal_sim import (
+    AZ_BAND,
+    BASE_DROP_RATE,
+    DRIFT_RATE_DEG_PER_S,
+    EDGE_DROP_RATE,
+    EL_BAND,
+    HEADER_OVERHEAD_FRAC,
     WIRE_KEYS,
     ClockRegression,
     OverlapRejected,
     TelemetrySample,
+    TelemetryServer,
     TerminalModelConfig,
     TerminalSim,
     Unavailable,
@@ -103,12 +114,12 @@ def test_transient_loss_at_spike_edges():
     by_ts = {s.ts_ms: s for s in samples}
     start_drop = by_ts[spike.start_ms].pop_drop_rate
     end_drop = by_ts[spike.end_ms].pop_drop_rate
-    lo, hi = cfg.edge_drop_rate
+    lo, hi = EDGE_DROP_RATE
     assert lo <= start_drop <= hi
     assert lo <= end_drop <= hi
     quiet = [s.pop_drop_rate for s in samples
              if not (spike.start_ms <= s.ts_ms <= spike.end_ms)]
-    assert max(quiet) <= cfg.base_drop_rate
+    assert max(quiet) <= BASE_DROP_RATE
 
 
 def test_orientation_bands_and_drift_pace():
@@ -116,10 +127,10 @@ def test_orientation_bands_and_drift_pace():
     _, samples = run_sim(cfg, 3600)
     az = np.array([s.az_deg for s in samples])
     el = np.array([s.el_deg for s in samples])
-    assert az.min() >= cfg.az_band[0] and az.max() <= cfg.az_band[1]
-    assert el.min() >= cfg.el_band[0] and el.max() <= cfg.el_band[1]
+    assert az.min() >= AZ_BAND[0] and az.max() <= AZ_BAND[1]
+    assert el.min() >= EL_BAND[0] and el.max() <= EL_BAND[1]
     med_step = float(np.median(np.abs(np.diff(az))))
-    assert cfg.drift_rate_deg_per_s / 2 <= med_step <= cfg.drift_rate_deg_per_s * 2
+    assert DRIFT_RATE_DEG_PER_S / 2 <= med_step <= DRIFT_RATE_DEG_PER_S * 2
 
 
 # --- counters ------------------------------------------------------------
@@ -171,14 +182,13 @@ def test_counters_monotone_under_mixed_load():
 
 
 def test_experiment_traffic_carries_header_overhead():
-    cfg = TerminalModelConfig(rng_seed=1)
-    sim = TerminalSim(cfg)
+    sim = TerminalSim(TerminalModelConfig(rng_seed=1))
     sim.set_experiment_rate(40e6, T0)
     samples = [sim.step(T0 + k * 1000) for k in range(30)]
     # steady state: per-second counter delta reflects rate * (1 + overhead)
     deltas = np.diff([s.bytes_down for s in samples[5:]])
     rate_seen = float(np.median(deltas)) * 8.0
-    assert rate_seen == pytest.approx(40e6 * (1 + cfg.header_overhead_frac), rel=0.01)
+    assert rate_seen == pytest.approx(40e6 * (1 + HEADER_OVERHEAD_FRAC), rel=0.01)
 
 
 # --- outage --------------------------------------------------------------
@@ -197,6 +207,50 @@ def test_outage_hides_latency_keeps_counters():
             s.latency()
     actives = [s for s in samples if s.state == "ACTIVE"]
     assert all(s.pop_latency_ms > 0 for s in actives)
+
+
+# --- feed server ---------------------------------------------------------
+
+class _BigLineSim:
+    """Stands in for a TerminalSim whose every line is 64 KiB, so a client
+    that never reads fills its socket buffers within a few dozen steps."""
+
+    class _Sample:
+        def __init__(self, ts_ms):
+            self.ts_ms = ts_ms
+
+        def to_json_line(self):
+            return json.dumps({"ts_ms": self.ts_ms, "pad": "x" * 65536})
+
+    def step(self, now_ms):
+        return self._Sample(now_ms)
+
+
+def test_stalled_feed_client_is_dropped_and_others_still_served(caplog):
+    svc = TelemetryServer(_BigLineSim(), interval_s=0.005)
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled.connect(("127.0.0.1", svc.port))   # never reads
+    reader = socket.create_connection(("127.0.0.1", svc.port))
+    got = []
+
+    def read():
+        with reader.makefile("rb") as fh:
+            for line in fh:
+                got.append(json.loads(line)["ts_ms"])
+                if len(got) == 200:
+                    return
+
+    th = threading.Thread(target=read, daemon=True)
+    th.start()
+    th.join(timeout=20)   # the stalled client's buffers fill by line ~60
+    stuck = th.is_alive()
+    svc.close()
+    stalled.close()
+    reader.close()
+    assert not stuck, f"the reader got {len(got)} lines, then the feed stalled"
+    assert len(got) == 200 and got == sorted(set(got))
+    assert "dropped a feed client" in caplog.text
 
 
 
