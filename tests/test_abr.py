@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 
@@ -7,6 +8,7 @@ import pytest
 
 from leobench.abr import (
     REBUFFER_PENALTY_PER_S,
+    VARIANTS,
     ChunkRecord,
     MpcController,
     QoeRecord,
@@ -355,3 +357,32 @@ def test_chunk_rate_dataset_lags():
     # first row: target chunk 6 (6000), h1 = chunk 5 (5000), ... h5 = chunk 1
     assert ds.targets[0] == pytest.approx(6000.0)
     assert list(ds.features[0]) == pytest.approx([5000, 4000, 3000, 2000, 1000])
+
+
+def _abr_digest_bytes():
+    """QoE lists of compare_variants on spiky and white-noise sessions, each
+    variant's decisions on one white-noise session, and that session's
+    chunk log under the oracle."""
+    video = VideoSpec()
+    parts = []
+    for traces in (terminal_traces(12, 200, seed=3),
+                   white_noise_traces(12, 200, 2500.0, 500.0, seed=7)):
+        result = compare_variants(traces, video, seed=1)
+        for variant in VARIANTS:
+            parts.append(np.array(result.qoe[variant]).tobytes())
+    trace = traces[0]
+    for variant in VARIANTS:
+        controller = make_controller(variant, video, result.model)
+        parts.append(np.array(session_decisions(trace, video, controller)).tobytes())
+    _, log = simulate_session(trace, video, make_controller("mpc_o", video))
+    parts.append(chunk_log_csv(log).encode())
+    return b"".join(parts)
+
+
+# sha256 of _abr_digest_bytes, pinned on the exhaustive 6**5-row MPC
+# search, so any change in any bit of a QoE value or any decision shows
+GOLDEN_ABR = "a6d7eddc5b8a4876c73b4c3c959a6fcf86d16e047be180816eb8b6b57173a40f"
+
+
+def test_abr_golden_digest():
+    assert hashlib.sha256(_abr_digest_bytes()).hexdigest() == GOLDEN_ABR
