@@ -13,9 +13,13 @@ Three predictor variants feed the controller:
 
 All variants apply the robust correction pred/(1 + max recent relative
 error), so a predictor that reproduces the oracle's estimates makes
-identical decisions. mpc_decide enumerates every quality sequence of
-horizon length; the vectorized search keeps lexicographic first-maximum
-semantics so it is bit-for-bit the brute-force answer.
+identical decisions. mpc_decide scores every quality sequence of horizon
+length, growing the sequences one chunk at a time from shared prefixes:
+each step's download time and rebuffering depend only on the prefix and
+the new quality, so a prefix's work is done once for all its extensions.
+Every sequence's total still takes the plain loop's float operations in
+its order, and the prefixes stay in lexicographic order, so the first
+maximum is bit for bit the brute-force answer.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,10 +185,16 @@ class TputTrace:
 
 # --- MPC decision --------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _sequence_matrix(n_qualities: int, horizon: int) -> np.ndarray:
-    seqs = list(itertools.product(range(n_qualities), repeat=horizon))
-    return np.array(seqs, dtype=np.int64)
+@functools.lru_cache(maxsize=32)
+def _ladder_tables(video: VideoSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(utils, bits, switch) per quality, switch[p, q] = |u_q - u_p|;
+    read-only because every call for the same video shares them."""
+    utils = np.array([video.utility(q) for q in range(video.n_qualities)])
+    bits = np.array([video.chunk_bits(q) for q in range(video.n_qualities)])
+    switch = np.abs(utils[None, :] - utils[:, None])
+    for table in (utils, bits, switch):
+        table.setflags(write=False)
+    return utils, bits, switch
 
 
 def _rate_vector(pred_kbps, robust_error: float, horizon: int) -> np.ndarray:
@@ -234,33 +243,42 @@ def mpc_decide(buffer_s: float, last_quality: int | None, pred_kbps,
     Search is exhaustive over n_qualities**horizon sequences; ties resolve
     to the lexicographically first sequence, matching a plain loop with a
     strict improvement test.
+
+    The search grows over prefixes: level k holds one (running total,
+    buffer) per prefix of length k + 1, in `itertools.product` order, as
+    (prefixes, n_qualities) arrays broadcast from level k - 1. A chunk's
+    download time depends only on its quality, and a switch cost only on
+    the last two qualities, so they are a vector and a table indexed in
+    place. Each sequence's total still takes the plain loop's operations
+    in its order, on the same operands (-= penalty * rebuffer, += utility,
+    -= |utility change|), so the totals, and the first maximum over them,
+    are bit for bit the loop's.
     """
     rates = _rate_vector(pred_kbps, robust_error, horizon)
     if np.any(rates <= 0):
         return 0
-    seqs = _sequence_matrix(video.n_qualities, horizon)
-    n = len(seqs)
-    utils = np.array([video.utility(q) for q in range(video.n_qualities)])
-    bits = np.array([video.chunk_bits(q) for q in range(video.n_qualities)])
-    buf = np.full(n, float(buffer_s))
-    prev_util = np.full(n, np.nan if last_quality is None
-                        else video.utility(last_quality))
-    total = np.zeros(n)
+    utils, bits, switch = _ladder_tables(video)
+    nq = video.n_qualities
+    total = np.zeros(1)                  # one entry per prefix, product order
+    buf = np.array([float(buffer_s)])
     for step in range(horizon):
-        q = seqs[:, step]
-        dl = bits[q] / (rates[step] * 1000.0)
+        dl = bits / (rates[step] * 1000.0)
         if startup and step == 0:
-            buf = np.full(n, float(video.chunk_s))
+            level = total[:, None] + utils
+            buf = np.full(nq, float(video.chunk_s))
         else:
-            rebuf = np.maximum(0.0, dl - buf)
-            buf = np.maximum(buf - dl, 0.0) + video.chunk_s
-            total -= REBUFFER_PENALTY_PER_S * rebuf
-        u = utils[q]
-        total += u
-        if not (last_quality is None and step == 0):
-            total -= np.abs(u - prev_util)
-        prev_util = u
-    return int(seqs[int(np.argmax(total)), 0])
+            rebuf = np.maximum(0.0, dl - buf[:, None])
+            level = total[:, None] - REBUFFER_PENALTY_PER_S * rebuf
+            level += utils
+            if step < horizon - 1:
+                buf = (np.maximum(buf[:, None] - dl, 0.0) + video.chunk_s).ravel()
+        if step > 0:
+            by_prev = level.reshape(-1, nq, nq)   # [prefix, previous q, q]
+            by_prev -= switch
+        elif last_quality is not None:
+            level -= switch[last_quality]
+        total = level.ravel()
+    return int(np.argmax(total)) // nq ** (horizon - 1)
 
 
 # --- controllers ---------------------------------------------------------

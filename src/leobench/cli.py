@@ -290,7 +290,6 @@ def cmd_orchestrate(args, cfg: CliConfig) -> int:
     srv, _ = orch.serve(cfg.orchestrator_host, port)
     _announce({"listening": srv.getsockname()[1], "nodes": list(cfg.nodes)})
     _wait(args.duration_s, threading.Event())
-    srv.close()
     orch.close()
     return 0
 

@@ -255,6 +255,7 @@ class Orchestrator:
         self._pending: dict[str, list[dict]] = {nid: [] for nid in node_ids}
         self._next_seq: dict[str, int] = {nid: 1 for nid in node_ids}
         self._journal = Journal(log_path, self._apply) if log_path else None
+        self._server: socket.socket | None = None
 
     # --- submission -------------------------------------------------------
 
@@ -464,6 +465,15 @@ class Orchestrator:
         return cls(node_ids, log_path=log_path, **kwargs)
 
     def close(self) -> None:
+        """Stop serving, then close the journal: no connection made after
+        this returns is answered, so none is applied without its entry."""
+        if self._server is not None:
+            try:
+                self._server.shutdown(socket.SHUT_RDWR)   # wakes the blocked accept
+            except OSError:
+                pass
+            self._server.close()
+            self._server = None
         if self._journal is not None:
             self._journal.close()
             self._journal = None
@@ -499,11 +509,12 @@ class Orchestrator:
 
     def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Listen for line-delimited JSON requests; one response line each.
-        Returns (server_socket, thread); the caller owns shutdown."""
+        Returns (server_socket, thread); `close` stops the server."""
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((host, port))
         srv.listen(16)
+        self._server = srv
 
         def client_loop(conn):
             with conn, conn.makefile("rw", encoding="utf-8") as fh:

@@ -46,6 +46,14 @@ carry that:
   * first-feature tie-break: the first feature whose gain is strictly the
     largest (and above 1e-12) wins, however many columns one numpy call
     searches.
+
+A column is kept when its `std` is above 0, which can round above 0 for a
+column holding one value (a site coordinate, say). Of the kept columns the
+search covers only those with at least one adjacent pair of distinct
+sorted values: every candidate split of any other column joins equal
+values, so it never has a finite gain and can never win. Trees are fitted
+on the searched columns and their features renumbered to kept columns, so
+`kept_columns` and the model file are what the full search gives.
 """
 
 from __future__ import annotations
@@ -491,6 +499,15 @@ def _fit_tree(XT: np.ndarray, residuals: np.ndarray, rows: np.ndarray,
     return node
 
 
+def _to_kept_columns(node: TreeNode, searched: np.ndarray) -> None:
+    """Renumber the split features of a tree fitted on the searched
+    columns to their index among the kept columns."""
+    if not node.is_leaf:
+        node.feature = int(searched[node.feature])
+        _to_kept_columns(node.left, searched)
+        _to_kept_columns(node.right, searched)
+
+
 def _leaf_values(node: TreeNode, X: np.ndarray, rows: np.ndarray,
                  out: np.ndarray) -> None:
     """out[rows] = the value of the leaf each row of X reaches."""
@@ -551,8 +568,12 @@ def _fit_gbrt(dataset: Dataset, n_trees: int = 200, max_depth: int = 3,
         log.warning("dropping %d constant feature columns",
                     X_full.shape[1] - len(kept))
     XT = np.ascontiguousarray(X_full[:, kept].T)
-    rows = np.arange(XT.shape[1])
     orders = np.argsort(XT, axis=1, kind="stable")
+    # a column whose sorted values are all equal never offers a split
+    sorted_x = np.take_along_axis(XT, orders, axis=1)
+    searched = np.nonzero((sorted_x[:, :-1] != sorted_x[:, 1:]).any(axis=1))[0]
+    XT, orders = np.ascontiguousarray(XT[searched]), orders[searched]
+    rows = np.arange(XT.shape[1])
     y = dataset.targets.astype(float)
     init = float(y.mean())
     pred = np.full(len(y), init)
@@ -563,6 +584,7 @@ def _fit_gbrt(dataset: Dataset, n_trees: int = 200, max_depth: int = 3,
         tree = _fit_tree(XT, residuals, rows, orders, 0, max_depth, min_leaf, fitted)
         if tree.is_leaf and abs(tree.value) < 1e-12:
             break
+        _to_kept_columns(tree, searched)
         trees.append(tree)
         pred += learning_rate * fitted
     return GBRTModel(init, learning_rate, trees, dataset.feature_names,

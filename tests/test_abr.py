@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobench.abr import (
     REBUFFER_PENALTY_PER_S,
@@ -165,6 +167,37 @@ def test_mpc_matches_brute_force_enumeration():
         want = brute_force_first_action(buf, last_q, pred, video, err,
                                         startup=startup)
         assert got == want
+
+
+@st.composite
+def mpc_problems(draw):
+    """Inputs where many sequences tie: rates equal to ladder steps (each
+    download then takes exactly one chunk of buffer) or far above them,
+    buffers on whole chunks, and ladders scaled or cut to two qualities."""
+    video = draw(st.sampled_from([VideoSpec(), VideoSpec().scaled(0.5),
+                                  VideoSpec().scaled(3.0),
+                                  VideoSpec(ladder_kbps=(100, 150))]))
+    rate = st.one_of(st.sampled_from(video.ladder_kbps + (1e9,)),
+                     st.floats(50.0, 1e4))
+    pred = draw(st.one_of(rate, st.lists(rate, min_size=1, max_size=6)))
+    buf = draw(st.one_of(st.sampled_from([0.0, 4.0, 8.0]), st.floats(0.0, 30.0)))
+    last_q = draw(st.one_of(st.none(), st.integers(0, video.n_qualities - 1)))
+    err = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)))
+    return buf, last_q, pred, video, err, draw(st.integers(1, 5)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(mpc_problems())
+def test_mpc_matches_brute_force_on_ties(problem):
+    """The prefix search picks the plain loop's first maximal sequence; a
+    rate vector shorter than the horizon repeats its last rate."""
+    buf, last_q, pred, video, err, horizon, startup = problem
+    rates = np.atleast_1d(np.asarray(pred, dtype=float))
+    padded = np.concatenate([rates, np.repeat(rates[-1:], max(0, horizon - len(rates)))])
+    want = brute_force_first_action(buf, last_q, padded, video, err,
+                                    horizon=horizon, startup=startup)
+    assert mpc_decide(buf, last_q, pred, video, err, horizon=horizon,
+                      startup=startup) == want
 
 
 def test_robust_correction_divides_prediction():

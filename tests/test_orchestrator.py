@@ -786,6 +786,21 @@ def test_tcp_server_roundtrip():
         srv.close()
 
 
+def test_close_stops_serving(tmp_path):
+    """After close no new connection is answered, so a late SUBMIT is
+    neither applied nor left out of the closed journal."""
+    orch = make_orch(log_path=tmp_path / "orch.jsonl")
+    srv, thread = orch.serve(port=0)
+    client = OrchestratorClient("127.0.0.1", srv.getsockname()[1])
+    assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+    orch.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    with pytest.raises(OSError):
+        client.call({"type": "SUBMIT", "spec": make_spec("late").to_json()})
+    assert orch.to_state()["specs"] == {}
+
+
 def test_tcp_server_rejects_bad_json():
     orch = make_orch()
     srv, _ = orch.serve(port=0)

@@ -724,3 +724,30 @@ def test_gbrt_fit_matches_reference(problem, n_trees, max_depth):
     trees = _reference_gbrt_trees(X[:, kept], y, n_trees, max_depth, 0.3, min_leaf)
     assert json.dumps([t.to_json() for t in model.trees]) == \
         json.dumps([t.to_json() for t in trees])
+
+
+def _split_features(node):
+    if node.is_leaf:
+        return set()
+    return {node.feature} | _split_features(node.left) | _split_features(node.right)
+
+
+def test_gbrt_skips_single_valued_column_that_std_keeps():
+    """A column holding one value whose std(axis=0) rounds above 0 stays in
+    kept_columns, is never split on, and the columns after it keep their
+    numbers: the trees are the reference's, bit for bit."""
+    rng = np.random.default_rng(13)
+    n = 40
+    X = np.column_stack([rng.integers(0, 6, size=n).astype(float),
+                         np.full(n, 37.7749),
+                         np.round(rng.normal(0, 1, size=n), 1)])
+    assert X.std(axis=0)[1] > 0
+    y = 2.0 * X[:, 0] + np.where(X[:, 2] > 0, 4.0, 0.0) + rng.normal(0, 0.3, size=n)
+    ds = Dataset(np.arange(n, dtype=np.int64), y, X, ("c0", "lat", "c2"))
+    model = fit("gbrt", ds, n_trees=30, max_depth=3, learning_rate=0.3, min_leaf=3)
+    assert model.kept_columns == (0, 1, 2)
+    trees = _reference_gbrt_trees(X, y, 30, 3, 0.3, 3)
+    assert json.dumps([t.to_json() for t in model.trees]) == \
+        json.dumps([t.to_json() for t in trees])
+    used = set().union(*(_split_features(t) for t in model.trees))
+    assert used == {0, 2}
