@@ -472,10 +472,11 @@ def _fit_tree(XT: np.ndarray, residuals: np.ndarray, rows: np.ndarray,
               min_leaf: int, fitted: np.ndarray) -> TreeNode:
     """Grow one tree over `rows`; writes each row's leaf value to `fitted`.
 
-    `orders` is None at max_depth, where no split is searched."""
+    `orders` is None where no split is searched: at max_depth, and on a
+    node with fewer rows than two leaves need."""
     node = TreeNode(value=float(residuals[rows].mean()))
     split = None
-    if depth < max_depth:
+    if depth < max_depth and orders is not None:
         split = _best_split(XT, residuals, rows, orders, min_leaf)
     if split is None:
         fitted[rows] = node.value
@@ -492,6 +493,7 @@ def _fit_tree(XT: np.ndarray, residuals: np.ndarray, rows: np.ndarray,
         goes_left[rows] = at_rows
         in_left = goes_left[orders].ravel()
         child_orders = tuple(np.compress(keep, orders).reshape(len(orders), len(r))
+                             if len(r) >= max(2, 2 * min_leaf) else None
                              for keep, r in zip((in_left, ~in_left), child_rows))
     node.left, node.right = (_fit_tree(XT, residuals, r, o, depth + 1, max_depth,
                                        min_leaf, fitted)
