@@ -574,7 +574,7 @@ def _fit_gbrt(dataset: Dataset, n_trees: int = 200, max_depth: int = 3,
     # a column whose sorted values are all equal never offers a split
     sorted_x = np.take_along_axis(XT, orders, axis=1)
     searched = np.nonzero((sorted_x[:, :-1] != sorted_x[:, 1:]).any(axis=1))[0]
-    XT, orders = np.ascontiguousarray(XT[searched]), orders[searched]
+    XT, orders = XT[searched], orders[searched]
     rows = np.arange(XT.shape[1])
     y = dataset.targets.astype(float)
     init = float(y.mean())
