@@ -15,8 +15,16 @@ exactly-once execution over an at-least-once channel.
 
 A rejected request is answered with ``{"ok": false, "error": {"kind": ...,
 "message": ...}}``, the kind naming the OrchestratorError raised. A line
-that is not JSON, not a JSON object, or lacks a well-formed field gets
-BadMessage.
+that is not UTF-8, not JSON, not a JSON object, or lacks a well-formed
+field gets BadMessage, and its connection keeps serving.
+
+`Orchestrator.serve` answers the wire from one thread and one selector,
+with no thread per connection. Each connection's replies go out in request
+order, and its next line is answered only once the reply before is sent.
+A request line longer than MAX_LINE_BYTES gets one BadMessage and closes
+its connection; a connection that for IDLE_TIMEOUT_S completes no line and
+takes none of its reply is closed. `OrchestratorClient` opens one
+connection per request.
 
 Every mutating call is validated, then appended to a log in the `journal`
 format, then applied. The log is the only durable state: opening an existing
@@ -27,9 +35,12 @@ identical tables (tests hold the API to that), then keeps appending to it.
 from __future__ import annotations
 
 import json
+import logging
 import re
+import selectors
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .clocks import WallClock
@@ -42,10 +53,16 @@ TERMINAL_STATES = ("COMPLETED", "FAILED", "KILLED", "PREEMPTED")
 
 MAX_REQUEUES = 1   # times a PREEMPTED run is re-enqueued before it sticks
 CLIENT_TIMEOUT_S = 10.0
+MAX_LINE_BYTES = 1 << 20   # a longer request line is refused and ends its connection
+IDLE_TIMEOUT_S = 10.0      # a connection that makes no progress for this long is closed
+ACCEPT_RETRY_S = 0.1       # pause in accepting after an accept error such as EMFILE
+RECV_BYTES = 1 << 16
 
 HEALTHY = "HEALTHY"
 STALE = "STALE"
 DOWN = "DOWN"
+
+log = logging.getLogger(__name__)
 
 
 class OrchestratorError(Exception):
@@ -255,7 +272,7 @@ class Orchestrator:
         self._pending: dict[str, list[dict]] = {nid: [] for nid in node_ids}
         self._next_seq: dict[str, int] = {nid: 1 for nid in node_ids}
         self._journal = Journal(log_path, self._apply) if log_path else None
-        self._server: socket.socket | None = None
+        self._server: _LineServer | None = None
 
     # --- submission -------------------------------------------------------
 
@@ -465,14 +482,11 @@ class Orchestrator:
         return cls(node_ids, log_path=log_path, **kwargs)
 
     def close(self) -> None:
-        """Stop serving, then close the journal: no connection made after
-        this returns is answered, so none is applied without its entry."""
+        """Stop serving, then close the journal: the serving thread has
+        closed every connection before this returns, so no request is
+        answered after it and none is applied without its entry."""
         if self._server is not None:
-            try:
-                self._server.shutdown(socket.SHUT_RDWR)   # wakes the blocked accept
-            except OSError:
-                pass
-            self._server.close()
+            self._server.stop()
             self._server = None
         if self._journal is not None:
             self._journal.close()
@@ -509,40 +523,200 @@ class Orchestrator:
 
     def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Listen for line-delimited JSON requests; one response line each.
-        Returns (server_socket, thread); `close` stops the server."""
+
+        One thread serves the listening socket and every connection through
+        one selector; no thread is started per connection. Replies go out
+        in request order per connection, and a connection's next line is
+        answered only once the reply before it is sent, so a client that
+        stops reading stalls only itself. A line longer than MAX_LINE_BYTES
+        gets one BadMessage reply and closes its connection; a connection
+        that for IDLE_TIMEOUT_S completes no line and takes none of its
+        reply is closed. Returns (server_socket, thread); `close` stops the
+        thread, which closes every socket it serves.
+        """
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((host, port))
         srv.listen(16)
-        self._server = srv
+        self._server = _LineServer(srv, self._answer)
+        self._server.thread.start()
+        return srv, self._server.thread
 
-        def client_loop(conn):
-            with conn, conn.makefile("rw", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        msg = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        resp = _error("BadMessage", f"invalid JSON: {exc}")
-                    else:
-                        resp = self.handle_message(msg)
-                    fh.write(json.dumps(resp) + "\n")
-                    fh.flush()
+    def _answer(self, line: bytes) -> bytes:
+        """The reply line to one request line; b"" for a blank line."""
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            resp = _error("BadMessage", f"invalid UTF-8: {exc}")
+        else:
+            if not text:
+                return b""
+            try:
+                msg = json.loads(text)
+            except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
+                resp = _error("BadMessage", f"invalid JSON: {exc}")
+            else:
+                resp = self.handle_message(msg)
+        return (json.dumps(resp) + "\n").encode()
 
-        def accept_loop():
+
+class _Connection:
+    __slots__ = ("sock", "inbuf", "outbuf", "events", "deadline", "done")
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.events = selectors.EVENT_READ
+        self.deadline = deadline
+        self.done = False   # no more input is read; close once answered
+
+
+class _LineServer:
+    """The one thread behind `Orchestrator.serve`: a selector over the
+    listening socket, a wake-up socket and every connection, each holding
+    its unanswered input and its unsent output."""
+
+    def __init__(self, srv: socket.socket, answer):
+        self.srv = srv
+        self.answer = answer
+        self.sel = selectors.DefaultSelector()
+        # `stop` writes a byte here: closing a socket that epoll watches
+        # wakes no select, so the listening socket cannot serve for this
+        self._wake, self._waker = socket.socketpair()
+        # by socket, in order of deadline: a deadline only ever moves to
+        # IDLE_TIMEOUT_S from now, and a moved one is reinserted at the end
+        self.conns: dict[socket.socket, _Connection] = {}
+        srv.setblocking(False)
+        self.sel.register(srv, selectors.EVENT_READ)
+        self.sel.register(self._wake, selectors.EVENT_READ)
+        self.thread = threading.Thread(target=self._run, daemon=True)
+
+    def stop(self) -> None:
+        """Return once the thread has closed every socket it served."""
+        self._waker.send(b"\0")
+        self.thread.join()
+        self._waker.close()
+
+    def _run(self) -> None:
+        conns = self.conns
+        accept_at = None   # while accepting is paused after an error
+        try:
             while True:
-                try:
-                    conn, _ = srv.accept()
-                except OSError:
-                    return
-                threading.Thread(target=client_loop, args=(conn,),
-                                 daemon=True).start()
+                now = time.monotonic()
+                deadlines = [accept_at] if accept_at is not None else []
+                if conns:
+                    deadlines.append(next(iter(conns.values())).deadline)
+                timeout = min(deadlines) - now if deadlines else None
+                for key, mask in self.sel.select(timeout):
+                    if key.data is not None:
+                        self._service(key.data, mask)
+                    elif key.fileobj is self.srv:
+                        accept_at = self._accept()
+                    else:
+                        return
+                now = time.monotonic()
+                if accept_at is not None and now >= accept_at:
+                    self.sel.register(self.srv, selectors.EVENT_READ)
+                    accept_at = None
+                while conns:
+                    oldest = next(iter(conns.values()))
+                    if oldest.deadline > now:
+                        break
+                    self._drop(oldest)
+        finally:
+            for conn in conns.values():
+                conn.sock.close()
+            conns.clear()
+            self.sel.close()
+            self.srv.close()
+            self._wake.close()
 
-        thread = threading.Thread(target=accept_loop, daemon=True)
-        thread.start()
-        return srv, thread
+    def _accept(self) -> float | None:
+        """Take one pending connection; after an accept error, the time
+        accepting resumes."""
+        try:
+            sock, _ = self.srv.accept()
+        except BlockingIOError:
+            return None
+        except OSError as exc:   # EMFILE, ECONNABORTED, ...: keep serving
+            log.warning("orchestrator: accept failed (%s); retrying in %.1f s",
+                        exc, ACCEPT_RETRY_S)
+            self.sel.unregister(self.srv)
+            return time.monotonic() + ACCEPT_RETRY_S
+        sock.setblocking(False)
+        conn = _Connection(sock, time.monotonic() + IDLE_TIMEOUT_S)
+        self.conns[sock] = conn
+        self.sel.register(sock, conn.events, conn)
+        return None
+
+    def _service(self, conn: _Connection, mask: int) -> None:
+        try:
+            if mask & selectors.EVENT_READ:
+                data = conn.sock.recv(RECV_BYTES)
+                if data:
+                    conn.inbuf += data
+                else:   # end of input: a last unterminated line is answered
+                    if conn.inbuf:
+                        conn.inbuf += b"\n"
+                    conn.done = True
+            self._pump(conn)
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._drop(conn)
+
+    def _pump(self, conn: _Connection) -> None:
+        """Send what is owed, then answer complete lines, one reply at a
+        time, until a reply cannot be sent in full or no line is left."""
+        while True:
+            if conn.outbuf:
+                try:
+                    sent = conn.sock.send(conn.outbuf)
+                except BlockingIOError:
+                    sent = 0
+                if sent:
+                    del conn.outbuf[:sent]
+                    self._touch(conn)
+                if conn.outbuf:
+                    break
+            end = conn.inbuf.find(b"\n")
+            if end > MAX_LINE_BYTES or (end < 0 and len(conn.inbuf) > MAX_LINE_BYTES):
+                conn.outbuf += (json.dumps(_error(
+                    "BadMessage", f"request line longer than {MAX_LINE_BYTES} bytes"))
+                    + "\n").encode()
+                conn.inbuf.clear()
+                conn.done = True
+                continue
+            if end < 0:
+                if conn.done:
+                    self._drop(conn)
+                    return
+                break
+            line = bytes(conn.inbuf[:end])
+            del conn.inbuf[:end + 1]
+            self._touch(conn)
+            try:
+                conn.outbuf += self.answer(line)
+            except Exception:   # a fault in one request ends only its connection
+                log.exception("orchestrator: closing a connection whose request failed")
+                self._drop(conn)
+                return
+        events = selectors.EVENT_WRITE if conn.outbuf else selectors.EVENT_READ
+        if events != conn.events:
+            conn.events = events
+            self.sel.modify(conn.sock, events, conn)
+
+    def _touch(self, conn: _Connection) -> None:
+        """Restart the idle timer of a connection that made progress."""
+        del self.conns[conn.sock]
+        conn.deadline = time.monotonic() + IDLE_TIMEOUT_S
+        self.conns[conn.sock] = conn
+
+    def _drop(self, conn: _Connection) -> None:
+        del self.conns[conn.sock]
+        self.sel.unregister(conn.sock)
+        conn.sock.close()
 
 
 class LocalClient:
@@ -565,10 +739,13 @@ class OrchestratorClient:
     def call(self, msg: dict) -> dict:
         with socket.create_connection((self.host, self.port),
                                       timeout=CLIENT_TIMEOUT_S) as conn:
-            with conn.makefile("rw", encoding="utf-8") as fh:
-                fh.write(json.dumps(msg) + "\n")
-                fh.flush()
-                line = fh.readline()
-        if not line:
-            raise ConnectionError("orchestrator closed the connection")
-        return json.loads(line)
+            conn.sendall((json.dumps(msg) + "\n").encode())
+            reply = bytearray()
+            while True:
+                chunk = conn.recv(RECV_BYTES)
+                if not chunk:
+                    raise ConnectionError("orchestrator closed the connection")
+                reply += chunk
+                if b"\n" in chunk:
+                    break
+        return json.loads(reply[:reply.index(b"\n")].decode("utf-8"))

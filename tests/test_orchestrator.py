@@ -1,9 +1,13 @@
+import errno
 import hashlib
 import json
 import random
 import re
 import socket
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leobench import orchestrator
 from leobench.clocks import SimClock
 from leobench.orchestrator import (BadMessage, BadSpec, BadTrigger,
                                    ConflictError, DuplicateExperiment,
@@ -818,5 +823,203 @@ def test_tcp_server_rejects_bad_json():
                     assert resp == {"ok": True, "result": []}
                 else:
                     assert resp["error"]["kind"] == "BadMessage"
+            conn.sendall(b"\xff\xfe\n")   # not UTF-8
+            assert json.loads(fh.readline())["error"]["kind"] == "BadMessage"
+            fh.write('{"type": "QUERY"}\n')
+            fh.flush()
+            assert json.loads(fh.readline()) == {"ok": True, "result": []}
     finally:
         srv.close()
+
+
+def read_reply(conn):
+    """One reply line from a raw socket; None once the server has closed it."""
+    buf = bytearray()
+    while not buf.endswith(b"\n"):
+        try:
+            chunk = conn.recv(1 << 16)
+        except ConnectionResetError:
+            return None
+        if not chunk:
+            return None
+        buf += chunk
+    return json.loads(buf)
+
+
+def test_close_ends_open_connections(tmp_path):
+    """A connection opened before close is not answered after it, so a late
+    SUBMIT is neither applied nor left out of the closed journal."""
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    srv, thread = orch.serve(port=0)
+    with socket.create_connection(srv.getsockname(), timeout=5) as conn:
+        conn.sendall(b'{"type": "QUERY"}\n')
+        assert read_reply(conn) == {"ok": True, "result": []}
+        orch.close()
+        assert not thread.is_alive()
+        late = {"type": "SUBMIT", "spec": make_spec("late").to_json()}
+        try:
+            conn.sendall((json.dumps(late) + "\n").encode())
+        except OSError:
+            pass
+        assert read_reply(conn) is None
+    assert orch.to_state()["specs"] == {}
+    assert "late" not in log.read_text()
+
+
+def test_oversize_line_is_refused_and_its_connection_closed():
+    orch = make_orch()
+    srv, _ = orch.serve(port=0)
+    try:
+        addr = srv.getsockname()
+        limit = orchestrator.MAX_LINE_BYTES
+        with socket.create_connection(addr, timeout=5) as conn:
+            # a line of exactly the limit is served
+            head = b'{"type": "QUERY", "pad": "'
+            conn.sendall(head + b"x" * (limit - len(head) - 2) + b'"}\n')
+            assert read_reply(conn) == {"ok": True, "result": []}
+            conn.sendall(b"x" * (limit + 1))
+            resp = read_reply(conn)
+            assert resp["error"]["kind"] == "BadMessage"
+            assert str(limit) in resp["error"]["message"]
+            assert read_reply(conn) is None
+        client = OrchestratorClient(*addr)
+        assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+    finally:
+        orch.close()
+
+
+def test_too_deeply_nested_line_gets_bad_message():
+    orch = make_orch()
+    srv, _ = orch.serve(port=0)
+    try:
+        with socket.create_connection(srv.getsockname(), timeout=5) as conn:
+            conn.sendall(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+            assert read_reply(conn)["error"]["kind"] == "BadMessage"
+            conn.sendall(b'{"type": "QUERY"}\n')
+            assert read_reply(conn) == {"ok": True, "result": []}
+    finally:
+        orch.close()
+
+
+def test_idle_connection_is_closed(monkeypatch):
+    monkeypatch.setattr(orchestrator, "IDLE_TIMEOUT_S", 0.3)
+    orch = make_orch()
+    srv, _ = orch.serve(port=0)
+    try:
+        addr = srv.getsockname()
+        with socket.create_connection(addr, timeout=5) as idle, \
+                socket.create_connection(addr, timeout=5) as busy:
+            idle.sendall(b'{"type": "QUE')   # a partial line completes nothing
+            start = time.monotonic()
+            # a connection that keeps completing lines outlives the timeout
+            while time.monotonic() - start < 0.9:
+                busy.sendall(b'{"type": "QUERY"}\n')
+                assert read_reply(busy) == {"ok": True, "result": []}
+                time.sleep(0.05)
+            assert read_reply(idle) is None
+    finally:
+        orch.close()
+
+
+def test_accept_error_does_not_stop_serving(monkeypatch, caplog):
+    orch = make_orch()
+    srv, thread = orch.serve(port=0)
+    accept = socket.socket.accept
+    failures = []
+
+    def accept_once_failing(self):
+        if not failures:
+            failures.append(1)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(self)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_once_failing)
+    try:
+        client = OrchestratorClient(*srv.getsockname())
+        assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+        assert failures and thread.is_alive()
+        assert "Too many open files" in caplog.text
+    finally:
+        orch.close()
+
+
+def test_slow_reader_stalls_no_one():
+    """A client that does not read a reply larger than the socket buffers
+    hold delays no other client, and gets the whole reply once it reads."""
+    nodes = [f"n{i}" for i in range(8)]
+    orch = Orchestrator([*nodes, "beat"], clock=SimClock(0))
+    for i in range(12000):   # a QUERY reply of about 6 MB
+        orch.submit_experiment(make_spec(f"e{i:05d}", nodes=nodes,
+                                         overhead="NO_OVERHEAD"))
+    srv, _ = orch.serve(port=0)
+    slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        with slow:   # closed first on failure, which frees a server stuck sending
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.settimeout(30)
+            slow.connect(srv.getsockname())
+            slow.sendall(b'{"type": "QUERY"}\n')
+            client = OrchestratorClient(*srv.getsockname())
+            replies = []
+            beats = threading.Thread(target=lambda: replies.extend(
+                client.call({"type": "HEARTBEAT", "node_id": "beat", "ts_ms": t})
+                for t in range(20)), daemon=True)
+            beats.start()
+            beats.join(timeout=20)
+            assert not beats.is_alive()
+            assert len(replies) == 20 and all(r["ok"] for r in replies)
+            assert read_reply(slow) == orch.handle_message({"type": "QUERY"})
+    finally:
+        orch.close()
+
+
+def test_concurrent_clients_get_their_own_replies(tmp_path):
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    srv, _ = orch.serve(port=0)
+    client = OrchestratorClient(*srv.getsockname())
+    errors = []
+
+    def run(worker: int):
+        node = NODES[worker % len(NODES)]
+        try:
+            for i in range(50):
+                eid = f"w{worker}-{i}"
+                step = i % 4
+                if step == 0:
+                    spec = make_spec(eid, nodes=(node,), overhead="NO_OVERHEAD")
+                    resp = client.call({"type": "SUBMIT", "spec": spec.to_json()})
+                    assert resp == {"ok": True, "experiment_id": eid}
+                elif step == 1:
+                    resp = client.call({"type": "QUERY", "experiment_id": f"w{worker}-{i - 1}"})
+                    assert resp["result"]["id"] == f"w{worker}-{i - 1}"
+                elif step == 2:
+                    resp = client.call({"type": "HEARTBEAT", "node_id": node,
+                                        "ts_ms": i})
+                    assert f"w{worker}-{i - 2}" in {s["spec"]["id"] for s in resp["schedules"]}
+                else:
+                    resp = client.call({"type": "COMPLETE", "experiment_id": f"w{worker}-{i - 3}",
+                                        "node_id": node, "manifest": {"state": "COMPLETED"}})
+                    assert resp == {"ok": True, "duplicate": False, "requeued": False}
+        except Exception as exc:   # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    state = orch.to_state()
+    orch.close()
+    assert len(state["specs"]) == 4 * len(range(0, 50, 4))
+    restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
+    assert restored.to_state() == state
+    restored.close()
