@@ -582,7 +582,7 @@ class _LineServer:
         self.answer = answer
         self.sel = selectors.DefaultSelector()
         # `stop` writes a byte here: closing a socket that epoll watches
-        # wakes no select, so the listening socket cannot serve for this
+        # wakes no select, so closing the listening socket cannot stop us
         self._wake, self._waker = socket.socketpair()
         # by socket, in order of deadline: a deadline only ever moves to
         # IDLE_TIMEOUT_S from now, and a moved one is reinserted at the end
