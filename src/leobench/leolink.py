@@ -20,7 +20,7 @@ at bottleneck egress, so per-second goodput can never exceed capacity by
 more than one packet. Sequence-gap loss marks are corrected if a straggler
 acknowledgment later proves delivery, keeping packet conservation exact.
 
-The event loop's fast paths rely on three invariants:
+The event loop's fast paths rely on four invariants:
 
   * a flow's in-flight dict is kept in send order: keys are inserted in
     increasing sequence number and a removed key never comes back, so its
@@ -28,7 +28,12 @@ The event loop's fast paths rely on three invariants:
   * simulated time never goes backwards: every event is scheduled at or
     after the event that schedules it;
   * a LinkProfile's columns are read-only after construction, so the
-    plain-float copies that `LinkProfile.at` searches stay in step with them.
+    plain-float copies that `LinkProfile.at` searches stay in step with them;
+  * a controller's published `cwnd_bytes` and `pacing_bps` change only
+    inside its `__init__`, `on_ack` and `on_loss`, which end by storing
+    `window_bytes()` and `pacing_rate_bps()`, so the loop reads them as
+    fields and does congestion-control arithmetic once per ack or loss,
+    not once per packet.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ MSS_BYTES = 1500
 MSS_BITS = MSS_BYTES * 8
 PACING_FLOOR_BPS = 100_000.0   # keeps PROBE_RTT cadence alive when collapsed
 REORDER_THRESH = 3             # seq gap before a hole is declared lost
+LOSS_DRAW_BLOCK = 1024         # random-loss draws per rng call
 STARTUP_CUT_S = 5              # seconds excluded from mean-throughput summaries
 
 DEFAULT_ALPHA_MS = 10_000.0
@@ -104,7 +110,8 @@ class LinkProfile:
             bdp_bits = float(self.capacity_bps.mean()) * 2.0 * float(self.owd_ms.mean()) / 1000.0
             buffer_bytes = max(int(bdp_bits / 8), 8 * MSS_BYTES)
         self.buffer_bytes = int(buffer_bytes)
-        # plain-float copies for at(), which runs once or twice per packet
+        # plain-float copies for at(), which runs once per sent packet and
+        # once more when the packet waits behind a busy queue
         self._ts = self.ts_ms.tolist()
         self._rows = list(zip(self.owd_ms.tolist(), self.capacity_bps.tolist(),
                               self.loss_prob.tolist()))
@@ -121,7 +128,8 @@ class LinkProfile:
         """(owd_ms, capacity_bps, loss_prob) in effect at t."""
         if t_ms > self._end_ms:
             raise ProfileExhausted(f"t={t_ms:.0f} ms beyond profile end {self.ts_ms[-1]:.0f}")
-        return self._rows[max(bisect_right(self._ts, t_ms) - 1, 0)]
+        i = bisect_right(self._ts, t_ms) - 1
+        return self._rows[i if i > 0 else 0]
 
     @classmethod
     def constant(cls, owd_ms: float, capacity_bps: float, loss_prob: float,
@@ -206,9 +214,21 @@ class AckInfo:
 
 class BaseCc:
     """Interface the event loop drives. Implementations keep their own
-    state machines and expose pacing rate, window limits and srtt."""
+    state machines and expose pacing rate, window limits and srtt.
 
-    srtt_ms: float   # smoothed RTT; 0 means no sample yet
+    `cwnd_bytes` and `pacing_bps` hold `window_bytes()` and
+    `pacing_rate_bps()` as of the last `__init__`, `on_ack` or `on_loss`
+    that changed controller state; each such path ends with `_publish`."""
+
+    srtt_ms: float      # smoothed RTT; 0 means no sample yet
+    cwnd_bytes: float   # published window_bytes()
+    pacing_bps: float   # published pacing_rate_bps()
+
+    def _publish(self, now_ms: float) -> None:
+        """Store the window and pacing rate the send path reads. Neither
+        formula reads `now_ms`: both follow from controller state alone."""
+        self.cwnd_bytes = self.window_bytes(now_ms)
+        self.pacing_bps = self.pacing_rate_bps(now_ms)
 
     def on_ack(self, info: AckInfo) -> None:
         raise NotImplementedError
@@ -261,6 +281,7 @@ class Bbr2Lite(BaseCc):
         self._loss_acked = 0
         self._loss_lost = 0
         self.probe_rtt_entries: list[tuple[float, float]] = []  # (t, srtt)
+        self._publish(0.0)
 
     def _update_bw(self, bw: float) -> None:
         """Exact windowed max (a monotonic deque, the idiom of Linux
@@ -282,7 +303,8 @@ class Bbr2Lite(BaseCc):
 
     def on_ack(self, info: AckInfo) -> None:
         now = info.now_ms
-        self.min_rtt_ms = min(self.min_rtt_ms, info.rtt_ms)
+        if info.rtt_ms < self.min_rtt_ms:
+            self.min_rtt_ms = info.rtt_ms
         self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
         if info.bw_sample_bps > 0:
             self._update_bw(info.bw_sample_bps)
@@ -303,6 +325,7 @@ class Bbr2Lite(BaseCc):
             self.mode = self.PROBE_RTT
             self._probe_rtt_min = info.rtt_ms
             self._probe_rtt_exit_ms = now + max(self.PROBE_RTT_MIN_MS, self.srtt_ms)
+            self._publish(now)
             return
 
         if info.round_trip_end:
@@ -340,9 +363,10 @@ class Bbr2Lite(BaseCc):
         if self.mode == self.DRAIN and info.inflight_bytes <= self._bdp_bytes():
             self.mode = self.PROBE_BW
             self.cycle_idx = 2
+        self._publish(now)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
-        pass  # loss feeds back through per-round loss rate
+        pass  # loss feeds back through per-round loss rate; nothing to publish
 
     def _pacing_gain(self) -> float:
         if self.mode == self.STARTUP:
@@ -359,15 +383,18 @@ class Bbr2Lite(BaseCc):
     def pacing_rate_bps(self, now_ms: float) -> float:
         if self.btl_bw <= 0:
             return 1e6  # until the first delivery-rate sample lands
-        return max(self._pacing_gain() * self.btl_bw, PACING_FLOOR_BPS)
+        rate = self._pacing_gain() * self.btl_bw
+        return PACING_FLOOR_BPS if PACING_FLOOR_BPS > rate else rate
 
     def window_bytes(self, now_ms: float) -> float:
         if self.mode == self.PROBE_RTT:
             return 4 * MSS_BYTES
         gain = self.STARTUP_GAIN if self.mode in (self.STARTUP, self.DRAIN) else self.CWND_GAIN
-        cwnd = max(gain * self._bdp_bytes(), 4 * MSS_BYTES)
-        if self.mode == self.PROBE_BW:
-            cwnd = min(cwnd, self.inflight_hi)
+        cwnd = gain * self._bdp_bytes()
+        if 4 * MSS_BYTES > cwnd:
+            cwnd = 4 * MSS_BYTES
+        if self.mode == self.PROBE_BW and self.inflight_hi < cwnd:
+            cwnd = self.inflight_hi
         return cwnd
 
 
@@ -383,11 +410,13 @@ class CubicLite(BaseCc):
         self.epoch_start_ms: float | None = None
         self.srtt_ms = 100.0
         self._last_cut_ms = -1e12
+        self._publish(0.0)
 
     def on_ack(self, info: AckInfo) -> None:
         self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
         if self.cwnd_seg < self.ssthresh_seg:
             self.cwnd_seg += 1.0
+            self._publish(info.now_ms)
             return
         if self.epoch_start_ms is None:
             self.epoch_start_ms = info.now_ms
@@ -399,6 +428,7 @@ class CubicLite(BaseCc):
             self.cwnd_seg += (target - self.cwnd_seg) / self.cwnd_seg
         else:
             self.cwnd_seg += 0.01 / self.cwnd_seg
+        self._publish(info.now_ms)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
         if now_ms - self._last_cut_ms < self.srtt_ms:
@@ -409,10 +439,11 @@ class CubicLite(BaseCc):
         self.ssthresh_seg = self.cwnd_seg
         self.k_s = (self.w_max * (1 - self.BETA_CUBIC) / self.C) ** (1.0 / 3.0)
         self.epoch_start_ms = now_ms
+        self._publish(now_ms)
 
     def pacing_rate_bps(self, now_ms: float) -> float:
         rate = 1.2 * self.cwnd_seg * MSS_BITS / (self.srtt_ms / 1000.0)
-        return max(rate, PACING_FLOOR_BPS)
+        return PACING_FLOOR_BPS if PACING_FLOOR_BPS > rate else rate
 
     def window_bytes(self, now_ms: float) -> float:
         return self.cwnd_seg * MSS_BYTES
@@ -425,6 +456,7 @@ class RenoLite(CubicLite):
             self.cwnd_seg += 1.0
         else:
             self.cwnd_seg += 1.0 / self.cwnd_seg
+        self._publish(info.now_ms)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
         if now_ms - self._last_cut_ms < self.srtt_ms:
@@ -432,6 +464,7 @@ class RenoLite(CubicLite):
         self._last_cut_ms = now_ms
         self.cwnd_seg = max(self.cwnd_seg * 0.5, 2.0)
         self.ssthresh_seg = self.cwnd_seg
+        self._publish(now_ms)
 
 
 CC_KINDS = {"bbr2": Bbr2Lite, "cubic": CubicLite, "reno": RenoLite}
@@ -508,6 +541,15 @@ class _FlowState:
         self.marked_lost: set[int] = set()
 
 
+def _loss_draws(seed: int):
+    """The doubles of successive scalar `rng.random()` calls, drawn a block
+    at a time: PCG64's `random(n)` gives exactly the doubles of n scalar
+    calls, and a draw left over when the run ends changes no output."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield from rng.random(LOSS_DRAW_BLOCK).tolist()
+
+
 def run_flows(flow_specs: list[tuple[str, CcParams | None]],
               profile: LinkProfile,
               duration_s: int,
@@ -517,14 +559,15 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
     if profile.ts_ms[-1] + 1000.0 < duration_ms:
         raise ProfileExhausted(
             f"profile covers {profile.ts_ms[-1] / 1000.0:.0f} s < {duration_s} s")
-    rng = np.random.default_rng(seed)
     flows = [_FlowState(i, make_cc(kind, params), kind)
              for i, (kind, params) in enumerate(flow_specs)]
 
-    # the hot loop reads these once per event
+    # the hot loop reads these once per event; it and the controllers'
+    # per-ack paths compare floats instead of calling max() and min(),
+    # which cost several times as much per call
     heappush, heappop = heapq.heappush, heapq.heappop
     profile_at = profile.at
-    random = rng.random
+    draw = _loss_draws(seed).__next__
     buffer_bytes = profile.buffer_bytes
 
     heap: list[tuple[float, int, str, int, int]] = []
@@ -533,13 +576,13 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
     busy_until = 0.0
 
     def try_schedule_send(f: _FlowState, now: float):
-        if f.send_scheduled:
+        """Queue f's next send if its window has room; callers check first
+        that f has no send queued."""
+        if f.inflight_bytes + MSS_BYTES > f.cc.cwnd_bytes:
             return
-        if f.inflight_bytes + MSS_BYTES > f.cc.window_bytes(now):
-            return
-        t = max(now, f.next_send_ms)
+        t = f.next_send_ms
         f.send_scheduled = True
-        heappush(heap, (t, next(counter), "send", f.id, -1))
+        heappush(heap, (t if t > now else now, next(counter), "send", f.id, -1))
 
     def mark_lost(f: _FlowState, seq: int, now: float):
         if f.inflight.pop(seq, None) is None:
@@ -563,11 +606,13 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
 
         if kind == "send":
             f.send_scheduled = False
-            if f.inflight_bytes + MSS_BYTES > f.cc.window_bytes(now):
+            cc = f.cc
+            if f.inflight_bytes + MSS_BYTES > cc.cwnd_bytes:
                 continue
             owd, cap, loss_p = profile_at(now)
             # droptail check against the shared queue
-            queue_bytes = max(0.0, busy_until - now) / 1000.0 * cap / 8.0
+            busy = busy_until > now
+            queue_bytes = (busy_until - now) / 1000.0 * cap / 8.0 if busy else 0.0
             seq_no = f.next_seq
             f.next_seq += 1
             f.injected += 1
@@ -580,21 +625,26 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 f.marked_lost.add(seq_no)
                 f.round_lost += 1
                 f.loss_marks.append(now)
-                f.cc.on_loss(now, MSS_BYTES)
+                cc.on_loss(now, MSS_BYTES)
             else:
-                start = max(busy_until, now)
-                _, cap_srv, _ = profile_at(start)  # serialize at service-time rate
-                deq_t = start + MSS_BITS / cap_srv * 1000.0
+                # serialize at the service-time rate: a busy queue starts
+                # service later, an idle one now, whose row is in hand
+                if busy:
+                    start = busy_until
+                    cap = profile_at(start)[1]
+                else:
+                    start = now
+                deq_t = start + MSS_BITS / cap * 1000.0
                 busy_until = deq_t
-                if random() < loss_p:
+                if draw() < loss_p:
                     # random loss at dequeue: capacity consumed, packet gone;
                     # the sender finds the hole via the gap rule or RTO tick
                     f.dropped_pkts += 1
                 else:
                     f.deliveries.append((deq_t, MSS_BYTES))
                     heappush(heap, (deq_t + 2.0 * owd, next(counter), "ack", flow_id, seq_no))
-            rate = f.cc.pacing_rate_bps(now)
-            f.next_send_ms = max(f.next_send_ms, now) + MSS_BITS / rate * 1000.0
+            t = f.next_send_ms
+            f.next_send_ms = (t if t > now else now) + MSS_BITS / cc.pacing_bps * 1000.0
             try_schedule_send(f, now)
 
         elif kind == "ack":
@@ -630,11 +680,13 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             # sequence-gap loss detection ahead of this ack: in-flight keys
             # run in increasing seq, so the stale ones (s < limit) are a prefix
             limit = seq - REORDER_THRESH
-            for s in list(takewhile(limit.__gt__, inflight)):
-                mark_lost(f, s, now)
+            if inflight and next(iter(inflight)) < limit:
+                for s in list(takewhile(limit.__gt__, inflight)):
+                    mark_lost(f, s, now)
             f.cc.on_ack(AckInfo(now, rtt, bw_sample, round_end, round_acked,
                                 round_lost, f.inflight_bytes))
-            try_schedule_send(f, now)
+            if not f.send_scheduled:
+                try_schedule_send(f, now)
 
         elif kind == "tick":
             srtt = f.cc.srtt_ms or 100.0
@@ -645,7 +697,6 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 if now - max(f.last_progress_ms, oldest_sent_ms) > rto:
                     mark_lost(f, oldest, now)
                     f.last_progress_ms = now
-                    try_schedule_send(f, now)
             if not f.send_scheduled:
                 try_schedule_send(f, now)
             heappush(heap, (now + 250.0, next(counter), "tick", flow_id, -1))

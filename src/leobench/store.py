@@ -4,12 +4,14 @@ Completed runs live under `<root>/<experiment_id>/<node_id>/<run_start>/`
 where run_start is basic-format ISO 8601 UTC (YYYYMMDDTHHMMSSZ). Every run
 directory holds `manifest.json`, `stdout.log`, and the experiment's data
 files. Uploads are atomic enough for a desk-scale testbed: files land in
-place, the manifest is written last.
+place, the manifest is written last, to a temporary file that is renamed
+over `manifest.json`, so a manifest is never seen half written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,8 +57,13 @@ class ResultsStore:
             for item in sorted(src.iterdir()):
                 if item.is_file():
                     shutil.copy2(item, dest / item.name)
-            (dest / "manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            tmp = dest / ".manifest.json.tmp"
+            try:
+                tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                os.replace(tmp, dest / "manifest.json")
+            except OSError:
+                tmp.unlink(missing_ok=True)
+                raise
         except OSError as exc:
             raise UploadFailure(str(exc)) from exc
         return dest

@@ -78,6 +78,7 @@ DEFAULT_SITE = (47.6, -122.3)
 
 # a feed client whose one send waits this long is closed and dropped
 SEND_TIMEOUT_S = 1.0
+ACCEPT_RETRY_S = 0.1   # pause in accepting after an accept error such as EMFILE
 
 # |N(0, s)| has median 0.6745*s; dividing by it makes DRIFT_RATE_DEG_PER_S the
 # median per-second orientation step.
@@ -421,8 +422,14 @@ class TelemetryServer:
         while True:
             try:
                 conn, _ = self._server.accept()
-            except OSError:
-                return
+            except OSError as exc:
+                if self._stop.is_set():   # close() shut the listening socket
+                    return
+                # EMFILE, ECONNABORTED, ...: keep accepting
+                log.warning("feed: accept failed (%s); retrying in %.1f s",
+                            exc, ACCEPT_RETRY_S)
+                self._stop.wait(ACCEPT_RETRY_S)
+                continue
             conn.settimeout(SEND_TIMEOUT_S)
             with self._lock:
                 if self._stop.is_set():

@@ -3,15 +3,17 @@ import dataclasses
 import hashlib
 import io
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leobench.leolink import (
     DEFAULT_ALPHA_MS,
     DEFAULT_BETA,
+    LOSS_DRAW_BLOCK,
     MSS_BYTES,
     MSS_BITS,
     AckInfo,
@@ -20,6 +22,7 @@ from leobench.leolink import (
     EmptyGrid,
     LinkProfile,
     ProfileExhausted,
+    _loss_draws,
     fairness,
     make_cc,
     run_flow,
@@ -364,3 +367,104 @@ def test_bw_filter_is_windowed_max(steps):
         seen.append((cc._round, bw))
         cutoff = cc._round - Bbr2Lite.BW_FILTER_ROUNDS
         assert cc.btl_bw == max(b for r, b in seen if r > cutoff)
+
+
+def test_loss_draw_blocks_equal_scalar_draws():
+    """A block of PCG64 draws holds the doubles of as many scalar calls, so
+    drawing a block at a time keeps every loss decision; checked across
+    two block boundaries."""
+    n = 2 * LOSS_DRAW_BLOCK + 3
+    for seed in (0, 7, 2**31 - 1):
+        rng = np.random.default_rng(seed)
+        scalar = [rng.random() for _ in range(n)]
+        assert np.random.default_rng(seed).random(n).tolist() == scalar
+        assert list(islice(_loss_draws(seed), n)) == scalar
+
+
+def test_a_lossy_golden_case_draws_past_two_blocks():
+    """Every packet that leaves the queue draws once, so injected minus
+    dropped bounds the draws from below: a lossy golden case that crosses
+    two block boundaries pins the order the blocks are consumed in."""
+    def draws_past_two_blocks(make):
+        specs, prof, seed = make()
+        if not prof.loss_prob.any():
+            return False
+        stats = run_flows(specs, prof, 10, seed)
+        egressed = sum(s.injected_packets - s.dropped_packets for s in stats)
+        return egressed > 2 * LOSS_DRAW_BLOCK
+    assert any(draws_past_two_blocks(make) for make, _ in GOLDEN_CASES.values())
+
+
+# one op: ("ack", dt_ms, rtt_ms, bw_bps, round_end, round_acked, round_lost,
+# inflight_bytes) or ("loss", dt_ms); time only moves forward
+_ACK_OPS = st.tuples(st.just("ack"), st.sampled_from([0.0, 5.0, 40.0, 150.0, 600.0]),
+                     st.sampled_from([20.0, 40.0, 41.5, 90.0, 250.0]),
+                     st.sampled_from([0.0, 1e5, 2e6, 8e6, 8e6, 1.2e7]),
+                     st.booleans(), st.integers(0, 60), st.integers(0, 20),
+                     st.sampled_from([0, 6000, 30_000, 500_000]))
+_LOSS_OPS = st.tuples(st.just("loss"), st.sampled_from([0.0, 10.0, 120.0]))
+
+# flat bandwidth ends STARTUP, a small inflight ends DRAIN, the 1 s alpha
+# brings PROBE_RTT at t=1100 and its exit at t=1400; the losses cut Cubic
+# and Reno once in slow start and once in congestion avoidance, and the
+# third comes within a round trip of the second and cuts nothing
+_TOUR = ([("ack", 40.0, 40.0, 8e6, True, 50, 0, 500_000)] * 4
+         + [("ack", 40.0, 40.0, 8e6, True, 50, 0, 30_000),
+            ("loss", 20.0),
+            ("ack", 880.0, 40.0, 8e6, True, 50, 0, 30_000),
+            ("ack", 300.0, 40.0, 8e6, True, 50, 0, 30_000),
+            ("loss", 5.0),
+            ("loss", 5.0)]
+         + [("ack", 40.0, 40.0, 8e6, True, 50, 0, 30_000)] * 3)
+
+
+def _drive(kind, alpha_ms, ops):
+    """Apply ops to a fresh controller. After every call the published
+    limits must be the formulas' values, bit for bit (repr round-trips
+    floats and tells int from float). Returns BBR's mode after each call
+    and the number of window cuts."""
+    cc = make_cc(kind, CcParams(alpha_ms, 0.02))
+    now, modes, cuts = 0.0, [], 0
+
+    def check():
+        assert repr(cc.cwnd_bytes) == repr(cc.window_bytes(now))
+        assert repr(cc.pacing_bps) == repr(cc.pacing_rate_bps(now))
+
+    check()
+    for op in ops:
+        now += op[1]
+        before = cc.cwnd_bytes
+        if op[0] == "ack":
+            cc.on_ack(AckInfo(now, *op[2:]))
+        else:
+            cc.on_loss(now, MSS_BYTES)
+            cuts += cc.cwnd_bytes < before
+        check()
+        modes.append(getattr(cc, "mode", None))
+    return modes, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["bbr2", "cubic", "reno"]),
+       st.sampled_from([300.0, 1000.0, 10_000.0]),
+       st.lists(st.one_of(_ACK_OPS, _LOSS_OPS), max_size=80))
+@example("bbr2", 1000.0, _TOUR)
+@example("cubic", 1000.0, _TOUR)
+@example("reno", 1000.0, _TOUR)
+def test_published_limits_match_the_formulas(kind, alpha_ms, ops):
+    """The event loop reads cwnd_bytes and pacing_bps as fields; they must
+    equal window_bytes() and pacing_rate_bps() after every on_ack and
+    on_loss, on every path through the state machines."""
+    _drive(kind, alpha_ms, ops)
+
+
+def test_tour_reaches_every_transition():
+    """The tour given to the oracle above as an example covers each path
+    that publishes: BBR's STARTUP -> DRAIN -> PROBE_BW, PROBE_RTT entry
+    (the early return) and exit, and a Cubic and a Reno cut in each phase."""
+    modes, _ = _drive("bbr2", 1000.0, _TOUR)
+    changes = [m for i, m in enumerate(modes) if i == 0 or m != modes[i - 1]]
+    assert changes == [Bbr2Lite.STARTUP, Bbr2Lite.DRAIN, Bbr2Lite.PROBE_BW,
+                       Bbr2Lite.PROBE_RTT, Bbr2Lite.PROBE_BW]
+    for kind in ("cubic", "reno"):
+        assert _drive(kind, 1000.0, _TOUR)[1] == 2

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import leobench
 from leobench.store import ResultsStore, UploadFailure, run_start_label
 
 
@@ -72,6 +78,37 @@ def test_fault_hook_failure_leaves_no_manifest(tmp_path):
     store.fault_hook = None
     store.upload("exp-a", "node-1", 0, src, {"state": "COMPLETED"})
     assert store.run_dir("exp-a", "node-1", 0).exists()
+
+
+def test_manifest_write_failing_part_way_keeps_the_old_manifest(tmp_path):
+    """A re-upload whose manifest write fails part-way raises UploadFailure
+    and leaves the manifest already stored byte for byte as it was. A child
+    process under a 64-byte file-size limit makes the write fail for real
+    (EFBIG) after its first 64 bytes."""
+    store = ResultsStore(tmp_path / "root")
+    src = tmp_path / "run"
+    src.mkdir()
+    (src / "a.csv").write_text("x\n")
+    dest = store.upload("exp-a", "node-1", 0, src, {"state": "FAILED"})
+    before = (dest / "manifest.json").read_bytes()
+    script = textwrap.dedent("""
+        import resource, signal, sys
+        from leobench.store import ResultsStore, UploadFailure
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64, resource.RLIM_INFINITY))
+        try:
+            ResultsStore(sys.argv[1]).upload(
+                "exp-a", "node-1", 0, sys.argv[2],
+                {"state": "COMPLETED", "note": "x" * 500})
+        except UploadFailure:
+            sys.exit(3)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(leobench.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", script, str(store.root), str(src)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 3, child.stderr
+    assert (dest / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in dest.iterdir()) == ["a.csv", "manifest.json"]
 
 
 def test_list_runs_and_fetch_mirror(tmp_path):

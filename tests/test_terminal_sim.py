@@ -1,3 +1,4 @@
+import errno
 import json
 import socket
 import threading
@@ -252,6 +253,27 @@ def test_stalled_feed_client_is_dropped_and_others_still_served(caplog):
     assert len(got) == 200 and got == sorted(set(got))
     assert "dropped a feed client" in caplog.text
 
+
+
+def test_feed_accept_error_does_not_stop_accepting(monkeypatch, caplog):
+    accept = socket.socket.accept
+    failures = []
+
+    def accept_once_failing(self):
+        if not failures:
+            failures.append(1)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(self)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_once_failing)
+    svc = TelemetryServer(TerminalSim(TerminalModelConfig(rng_seed=1)), interval_s=0.1)
+    try:
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as client:
+            sample = TelemetrySample.from_wire(json.loads(client.makefile("rb").readline()))
+        assert failures and sample.ts_ms > 0
+        assert "Too many open files" in caplog.text
+    finally:
+        svc.close()
 
 
 # --- golden digest -------------------------------------------------------
