@@ -31,6 +31,7 @@ orchestrator requeues it. The file is deleted whenever nothing is pending.
 from __future__ import annotations
 
 import json
+import logging
 import shutil
 import socket
 import subprocess
@@ -57,6 +58,8 @@ FAILED = "FAILED"
 KILLED = "KILLED"
 PREEMPTED = "PREEMPTED"
 SEALED = "sealed"   # journal entry of a run whose artifacts are written
+
+log = logging.getLogger(__name__)
 
 LEGAL_TRANSITIONS = {
     PENDING: {RUNNING, FAILED},
@@ -553,7 +556,9 @@ class Agent:
         for msg in self._notices:
             try:
                 resp = self.client.call(msg)
-            except Exception:
+            except Exception as exc:   # kept, sent again next tick
+                log.warning("agent %s: completion of %s not sent: %s: %s", self.node_id,
+                            msg["experiment_id"], type(exc).__name__, exc)
                 remaining.append(msg)
                 continue
             if not resp.get("ok") and \
@@ -627,7 +632,9 @@ class Agent:
                "acks": sent_acks, "runs": reports}
         try:
             resp = self.client.call(msg)
-        except Exception:
+        except Exception as exc:   # tried again next tick
+            log.warning("agent %s: heartbeat failed: %s: %s", self.node_id,
+                        type(exc).__name__, exc)
             return
         if not resp.get("ok"):
             return

@@ -28,12 +28,18 @@ The event loop's fast paths rely on four invariants:
   * simulated time never goes backwards: every event is scheduled at or
     after the event that schedules it;
   * a LinkProfile's columns are read-only after construction, so the
-    plain-float copies that `LinkProfile.at` searches stay in step with them;
+    plain-float copies that `LinkProfile.at` and `LinkProfile.segment`
+    search stay in step with them, and the event loop may keep the last
+    `(lo, hi, row)` segment it looked up and skip the lookup while the
+    time stays inside it;
   * a controller's published `cwnd_bytes` and `pacing_bps` change only
-    inside its `__init__`, `on_ack` and `on_loss`, which end by storing
+    inside its `__init__`, `on_ack` and `on_loss`, which store
     `window_bytes()` and `pacing_rate_bps()`, so the loop reads them as
     fields and does congestion-control arithmetic once per ack or loss,
-    not once per packet.
+    not once per packet. A controller publishes only when an input of the
+    two formulas changed (BBR also on every round-trip end): the formulas
+    read controller state alone, so an ack that changed none of it leaves
+    the stored values equal to what a publish would store.
 """
 
 from __future__ import annotations
@@ -131,6 +137,20 @@ class LinkProfile:
         i = bisect_right(self._ts, t_ms) - 1
         return self._rows[i if i > 0 else 0]
 
+    def segment(self, t_ms: float) -> tuple[float, float, tuple[float, float, float]]:
+        """(lo, hi, row): `at(t)` is row for every t with lo <= t < hi.
+        The first row reaches down to -inf (the clamp below ts[0]), and the
+        last reaches up to and including the profile end."""
+        if t_ms > self._end_ms:
+            raise ProfileExhausted(f"t={t_ms:.0f} ms beyond profile end {self.ts_ms[-1]:.0f}")
+        ts = self._ts
+        i = bisect_right(ts, t_ms) - 1
+        if i < 0:
+            i = 0
+        lo = ts[i] if i > 0 else -math.inf
+        hi = ts[i + 1] if i + 1 < len(ts) else math.nextafter(self._end_ms, math.inf)
+        return lo, hi, self._rows[i]
+
     @classmethod
     def constant(cls, owd_ms: float, capacity_bps: float, loss_prob: float,
                  duration_s: int, buffer_bytes: int | None = None) -> "LinkProfile":
@@ -218,7 +238,8 @@ class BaseCc:
 
     `cwnd_bytes` and `pacing_bps` hold `window_bytes()` and
     `pacing_rate_bps()` as of the last `__init__`, `on_ack` or `on_loss`
-    that changed controller state; each such path ends with `_publish`."""
+    that changed an input of those formulas; each such path ends with
+    `_publish`."""
 
     srtt_ms: float      # smoothed RTT; 0 means no sample yet
     cwnd_bytes: float   # published window_bytes()
@@ -302,12 +323,19 @@ class Bbr2Lite(BaseCc):
         return self.btl_bw * self.min_rtt_ms / 1000.0 / 8.0
 
     def on_ack(self, info: AckInfo) -> None:
+        # `changed` is set wherever an input of the two formulas (mode,
+        # btl_bw, min_rtt_ms, inflight_hi, cycle_idx, probing_paused) may
+        # have moved; an ack that moved none of them publishes nothing
         now = info.now_ms
-        if info.rtt_ms < self.min_rtt_ms:
+        changed = info.rtt_ms < self.min_rtt_ms
+        if changed:
             self.min_rtt_ms = info.rtt_ms
         self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
         if info.bw_sample_bps > 0:
+            btl_bw = self.btl_bw
             self._update_bw(info.bw_sample_bps)
+            if self.btl_bw != btl_bw:
+                changed = True
         if self._probe_rtt_due_ms is None:
             self._probe_rtt_due_ms = now + self.params.probe_rtt_win_ms
 
@@ -318,6 +346,7 @@ class Bbr2Lite(BaseCc):
                 self.mode = self._mode_before_probe
                 if self.mode == self.PROBE_BW:
                     self.cycle_idx = 2  # resume cruising
+                changed = True
         elif now >= self._probe_rtt_due_ms:
             self.probe_rtt_entries.append((now, self.srtt_ms))
             self._probe_rtt_due_ms = now + self.params.probe_rtt_win_ms
@@ -329,6 +358,7 @@ class Bbr2Lite(BaseCc):
             return
 
         if info.round_trip_end:
+            changed = True
             self._round += 1
             beta = self.params.loss_thresh
             self._loss_acked += info.round_acked
@@ -363,7 +393,9 @@ class Bbr2Lite(BaseCc):
         if self.mode == self.DRAIN and info.inflight_bytes <= self._bdp_bytes():
             self.mode = self.PROBE_BW
             self.cycle_idx = 2
-        self._publish(now)
+            changed = True
+        if changed:
+            self._publish(now)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
         pass  # loss feeds back through per-round loss rate; nothing to publish
@@ -535,8 +567,11 @@ class _FlowState:
         self.injected = 0
         self.delivered_pkts = 0
         self.dropped_pkts = 0
-        self.deliveries: list[tuple[float, int]] = []   # (egress t, bytes)
-        self.rtt_samples: list[tuple[float, float]] = []
+        # per-packet records are plain floats, not tuples: the garbage
+        # collector does not track floats, so keeping them costs no collections
+        self.deliveries: list[float] = []   # egress t of each MSS_BYTES packet
+        self.rtt_times: list[float] = []    # ack t of each RTT sample
+        self.rtts: list[float] = []
         self.loss_marks: list[float] = []
         self.marked_lost: set[int] = set()
 
@@ -565,24 +600,23 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
     # the hot loop reads these once per event; it and the controllers'
     # per-ack paths compare floats instead of calling max() and min(),
     # which cost several times as much per call
-    heappush, heappop = heapq.heappush, heapq.heappop
-    profile_at = profile.at
+    heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
+    segment = profile.segment
     draw = _loss_draws(seed).__next__
     buffer_bytes = profile.buffer_bytes
 
     heap: list[tuple[float, int, str, int, int]] = []
     counter = count()   # tie-break: equal times pop in push order
+    # the event an iteration schedules last is held back and handed to the
+    # next pop through heappushpop, which pops what a push then a pop would:
+    # keys (t, counter) never tie
+    held = None
+    # the profile row in effect for seg_lo <= t < seg_hi; empty until the
+    # first send looks one up
+    seg_lo = seg_hi = 0.0
+    row = (0.0, 0.0, 0.0)
 
     busy_until = 0.0
-
-    def try_schedule_send(f: _FlowState, now: float):
-        """Queue f's next send if its window has room; callers check first
-        that f has no send queued."""
-        if f.inflight_bytes + MSS_BYTES > f.cc.cwnd_bytes:
-            return
-        t = f.next_send_ms
-        f.send_scheduled = True
-        heappush(heap, (t if t > now else now, next(counter), "send", f.id, -1))
 
     def mark_lost(f: _FlowState, seq: int, now: float):
         if f.inflight.pop(seq, None) is None:
@@ -598,8 +632,14 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
         f.send_scheduled = True
         heappush(heap, (250.0, next(counter), "tick", f.id, -1))
 
-    while heap:
-        now, _, kind, flow_id, seq = heappop(heap)
+    # every branch below that queues f's next send first checks that f has
+    # no send queued and that its window has room for one more packet
+    while heap or held:
+        if held is None:
+            now, _, kind, flow_id, seq = heappop(heap)
+        else:
+            now, _, kind, flow_id, seq = heappushpop(heap, held)
+            held = None
         if now >= duration_ms:
             break
         f = flows[flow_id]
@@ -609,7 +649,9 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             cc = f.cc
             if f.inflight_bytes + MSS_BYTES > cc.cwnd_bytes:
                 continue
-            owd, cap, loss_p = profile_at(now)
+            if not seg_lo <= now < seg_hi:
+                seg_lo, seg_hi, row = segment(now)
+            owd, cap, loss_p = row
             # droptail check against the shared queue
             busy = busy_until > now
             queue_bytes = (busy_until - now) / 1000.0 * cap / 8.0 if busy else 0.0
@@ -631,7 +673,9 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 # service later, an idle one now, whose row is in hand
                 if busy:
                     start = busy_until
-                    cap = profile_at(start)[1]
+                    if not seg_lo <= start < seg_hi:
+                        seg_lo, seg_hi, row = segment(start)
+                    cap = row[1]
                 else:
                     start = now
                 deq_t = start + MSS_BITS / cap * 1000.0
@@ -641,11 +685,15 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                     # the sender finds the hole via the gap rule or RTO tick
                     f.dropped_pkts += 1
                 else:
-                    f.deliveries.append((deq_t, MSS_BYTES))
-                    heappush(heap, (deq_t + 2.0 * owd, next(counter), "ack", flow_id, seq_no))
+                    f.deliveries.append(deq_t)
+                    held = (deq_t + 2.0 * owd, next(counter), "ack", flow_id, seq_no)
             t = f.next_send_ms
-            f.next_send_ms = (t if t > now else now) + MSS_BITS / cc.pacing_bps * 1000.0
-            try_schedule_send(f, now)
+            t = f.next_send_ms = (t if t > now else now) + MSS_BITS / cc.pacing_bps * 1000.0
+            if f.inflight_bytes + MSS_BYTES <= cc.cwnd_bytes:
+                if held is not None:
+                    heappush(heap, held)
+                f.send_scheduled = True
+                held = (t if t > now else now, next(counter), "send", flow_id, -1)
 
         elif kind == "ack":
             inflight = f.inflight
@@ -665,7 +713,8 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             f.delivered_time_ms = now
             f.last_progress_ms = now
             rtt = now - sent_ms
-            f.rtt_samples.append((now, rtt))
+            f.rtt_times.append(now)
+            f.rtts.append(rtt)
             dt = now - delivered_time_ms
             bw_sample = ((f.delivered_bytes - delivered_at_send) * 8.0
                          / (dt / 1000.0)) if dt > 0 else 0.0
@@ -683,13 +732,17 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             if inflight and next(iter(inflight)) < limit:
                 for s in list(takewhile(limit.__gt__, inflight)):
                     mark_lost(f, s, now)
-            f.cc.on_ack(AckInfo(now, rtt, bw_sample, round_end, round_acked,
-                                round_lost, f.inflight_bytes))
-            if not f.send_scheduled:
-                try_schedule_send(f, now)
+            cc = f.cc
+            cc.on_ack(AckInfo(now, rtt, bw_sample, round_end, round_acked,
+                              round_lost, f.inflight_bytes))
+            if not f.send_scheduled and f.inflight_bytes + MSS_BYTES <= cc.cwnd_bytes:
+                t = f.next_send_ms
+                f.send_scheduled = True
+                held = (t if t > now else now, next(counter), "send", flow_id, -1)
 
         elif kind == "tick":
-            srtt = f.cc.srtt_ms or 100.0
+            cc = f.cc
+            srtt = cc.srtt_ms or 100.0
             rto = max(4.0 * srtt, 1000.0)
             if f.inflight:
                 # the first in-flight entry is the lowest seq and the oldest send
@@ -697,9 +750,11 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 if now - max(f.last_progress_ms, oldest_sent_ms) > rto:
                     mark_lost(f, oldest, now)
                     f.last_progress_ms = now
-            if not f.send_scheduled:
-                try_schedule_send(f, now)
-            heappush(heap, (now + 250.0, next(counter), "tick", flow_id, -1))
+            if not f.send_scheduled and f.inflight_bytes + MSS_BYTES <= cc.cwnd_bytes:
+                t = f.next_send_ms
+                f.send_scheduled = True
+                heappush(heap, (t if t > now else now, next(counter), "send", flow_id, -1))
+            held = (now + 250.0, next(counter), "tick", flow_id, -1)
 
     return [_finalize(f, duration_s) for f in flows]
 
@@ -707,15 +762,15 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
 def _finalize(f: _FlowState, duration_s: int) -> FlowStats:
     edges = np.arange(duration_s + 1) * 1000.0
     if f.deliveries:
-        times = np.array([t for t, _ in f.deliveries])
-        bits = np.array([b * 8 for _, b in f.deliveries], dtype=float)
+        times = np.array(f.deliveries)
+        bits = np.full(len(times), float(MSS_BITS))
         goodput, _ = np.histogram(times, bins=edges, weights=bits)
     else:
         goodput = np.zeros(duration_s)
     srtt_series = np.zeros(duration_s)
-    if f.rtt_samples:
-        times = np.array([t for t, _ in f.rtt_samples])
-        rtts = np.array([r for _, r in f.rtt_samples])
+    if f.rtts:
+        times = np.array(f.rtt_times)
+        rtts = np.array(f.rtts)
         idx = np.clip((times // 1000).astype(int), 0, duration_s - 1)
         # samples are appended in event order, so idx never decreases and
         # each second's samples are one slice, summed in the same order
