@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 import time
 
@@ -144,6 +145,30 @@ def test_lost_schedule_response_is_redelivered_and_deduped(tmp_path):
     assert agent.runs_by_state() == {"COMPLETED": ["png-30000"]}
     assert len(store.list_runs("png")) == 1
     assert orch.pending_for("n1") == []
+
+
+def test_failed_control_plane_calls_are_logged_and_tried_again(tmp_path, caplog):
+    """A heartbeat or completion whose call raises is logged with the
+    error's type and message; the completion stays queued, the heartbeat is
+    due again next tick, and both go out once the orchestrator answers."""
+    clock, orch, store, sim, agent = make_rig(tmp_path, hb_every=10)
+
+    class DownClient:
+        def call(self, msg):
+            raise ConnectionRefusedError("orchestrator down")
+
+    agent.client = DownClient()
+    agent._report("png", {"state": "COMPLETED"})
+    with caplog.at_level(logging.WARNING, logger="leobench.agent"):
+        drive(agent, clock, 2)
+    assert [r.getMessage() for r in caplog.records if r.name == "leobench.agent"] == [
+        "agent n1: completion of png not sent: ConnectionRefusedError: orchestrator down",
+        "agent n1: heartbeat failed: ConnectionRefusedError: orchestrator down"] * 2
+
+    agent.client = RecordingClient(orch)
+    drive(agent, clock, 1)
+    assert [m["type"] for m in agent.client.sent] == ["COMPLETE", "HEARTBEAT"]
+    assert orch.node_health() == {"n1": "HEALTHY"}
 
 
 def test_duplicate_seq_delivery_runs_once(tmp_path):

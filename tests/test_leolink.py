@@ -91,6 +91,33 @@ def test_profile_from_telemetry_mapping():
     assert prof.capacity_bps[np.argmax(lats)] == prof.capacity_bps.min()
 
 
+@pytest.mark.parametrize("prof", [
+    LinkProfile.constant(20.0, 8e6, 0.01, 5),
+    LinkProfile.from_terminal(TerminalModelConfig(rng_seed=3, p_bad_handover=0.08),
+                              30, 8e6, loss_floor=0.02)], ids=["constant", "from_terminal"])
+def test_segment_row_is_at_row_over_its_whole_span(prof):
+    """The event loop reuses segment(t)'s row while lo <= t < hi, so that
+    row must be at(t) for t itself and at both edges of the span: at each
+    ts[i], just below it, below ts[0] (at() clamps) and at the profile end."""
+    ts = prof.ts_ms.tolist()
+    end = ts[-1] + 1000.0
+    probes = [ts[0] - 1000.0, -math.inf, end]
+    for t in ts:
+        probes += [t, math.nextafter(t, -math.inf)]
+    for t in probes:
+        lo, hi, row = prof.segment(t)
+        assert row == prof.at(t)
+        assert lo <= t < hi
+        for edge in (lo, math.nextafter(hi, -math.inf)):
+            if math.isfinite(edge):
+                assert prof.at(edge) == row
+    assert prof.segment(end)[1] == math.nextafter(end, math.inf)
+    past = math.nextafter(end, math.inf)
+    for lookup in (prof.at, prof.segment):
+        with pytest.raises(ProfileExhausted):
+            lookup(past)
+
+
 def test_run_past_profile_end_raises():
     prof = LinkProfile.constant(20.0, 8e6, 0.0, 30)
     with pytest.raises(ProfileExhausted):
@@ -216,6 +243,17 @@ def test_sweep_rejects_empty_inputs():
         sweep([1000.0], [0.02], [prof], 10, [])
     with pytest.raises(EmptyGrid):
         sweep([1000.0], [0.02], [], 10, [1])
+
+
+def test_sweep_in_two_worker_processes_equals_in_process():
+    """Runs are seeded and share no state, so farming them out to a pool of
+    two processes gives the same cells and the same best cell."""
+    profiles = [spiky_lossy_profile(10, capacity_bps=6e6, loss=0.04, seed=s)
+                for s in (1, 2)]
+    args = ([4000.0, DEFAULT_ALPHA_MS], [DEFAULT_BETA, 0.08], profiles, 5, [0, 1])
+    in_process = sweep(*args, workers=1)
+    assert in_process.best is not None
+    assert sweep(*args, workers=2) == in_process
 
 
 @pytest.fixture(scope="module")
@@ -468,3 +506,45 @@ def test_tour_reaches_every_transition():
                        Bbr2Lite.PROBE_RTT, Bbr2Lite.PROBE_BW]
     for kind in ("cubic", "reno"):
         assert _drive(kind, 1000.0, _TOUR)[1] == 2
+
+
+# (label, dt_ms, rtt_ms, bw_bps, round_trip_end, inflight_bytes); a labelled
+# ack is not a round-trip end and moves the formulas' inputs only through the
+# path its label names; a 1 s alpha brings PROBE_RTT at t=1010
+_PUBLISH_PATHS = (
+    [(None, 10.0, 100.0, 8e6, False, 500_000),
+     ("new min RTT", 10.0, 40.0, 0.0, False, 500_000),
+     ("windowed max rises", 10.0, 40.0, 1.2e7, False, 500_000)]
+    # flat bandwidth ends STARTUP on the fourth round end; a large inflight
+    # keeps DRAIN
+    + [(None, 10.0, 40.0, 0.0, True, 500_000)] * 4
+    + [(None, 10.0, 40.0, 8e6, False, 500_000)]   # held behind the max
+    + [(None, 10.0, 40.0, 0.0, True, 500_000)] * 6
+    + [("windowed max expires", 10.0, 40.0, 8e6, False, 500_000),
+       ("DRAIN exit", 10.0, 40.0, 0.0, False, 6000),
+       ("PROBE_RTT entry", 850.0, 45.0, 0.0, False, 6000),
+       (None, 100.0, 45.0, 0.0, False, 6000),
+       ("PROBE_RTT exit", 150.0, 45.0, 0.0, False, 6000)])
+
+
+def test_bbr_publishes_on_every_path_that_moves_a_formula_input():
+    """Each labelled ack changes the published limits without ending a
+    round trip, so BBR's change flag must be set on each of these paths;
+    after every ack the fields still equal the formulas bit for bit."""
+    cc = Bbr2Lite(CcParams(1000.0, 0.02))
+    now = 0.0
+    modes, moved = [], []
+    for label, dt, rtt, bw, round_end, inflight in _PUBLISH_PATHS:
+        now += dt
+        before = (cc.cwnd_bytes, cc.pacing_bps)
+        cc.on_ack(AckInfo(now, rtt, bw, round_end, 50, 0, inflight))
+        assert repr(cc.cwnd_bytes) == repr(cc.window_bytes(now)), label
+        assert repr(cc.pacing_bps) == repr(cc.pacing_rate_bps(now)), label
+        modes.append(cc.mode)
+        if label is not None:
+            moved.append((label, (cc.cwnd_bytes, cc.pacing_bps) != before))
+    assert moved == [(label, True) for label, *_ in _PUBLISH_PATHS if label]
+    changes = [m for i, m in enumerate(modes) if i == 0 or m != modes[i - 1]]
+    assert changes == [Bbr2Lite.STARTUP, Bbr2Lite.DRAIN, Bbr2Lite.PROBE_BW,
+                       Bbr2Lite.PROBE_RTT, Bbr2Lite.PROBE_BW]
+    assert cc.btl_bw == 8e6 and cc.min_rtt_ms == 45.0
