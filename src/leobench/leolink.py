@@ -116,8 +116,8 @@ class LinkProfile:
             bdp_bits = float(self.capacity_bps.mean()) * 2.0 * float(self.owd_ms.mean()) / 1000.0
             buffer_bytes = max(int(bdp_bits / 8), 8 * MSS_BYTES)
         self.buffer_bytes = int(buffer_bytes)
-        # plain-float copies for at(), which runs once per sent packet and
-        # once more when the packet waits behind a busy queue
+        # plain-float copies for at() and segment(); bisecting a list of
+        # floats is cheaper than searching the numpy column
         self._ts = self.ts_ms.tolist()
         self._rows = list(zip(self.owd_ms.tolist(), self.capacity_bps.tolist(),
                               self.loss_prob.tolist()))
