@@ -192,15 +192,14 @@ class SocketSource:
 
     def _read_loop(self) -> None:
         try:
-            with self._sock.makefile("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+            with self._sock.makefile("rb") as fh:
+                for raw in fh:
+                    if not raw.strip():
                         continue
-                    try:
-                        self._latest = TelemetrySample.from_wire(json.loads(line))
-                    except (ValueError, KeyError):
-                        continue
+                    try:   # UnicodeDecodeError is a ValueError; RecursionError: nested too deep
+                        self._latest = TelemetrySample.from_wire(json.loads(raw.decode("utf-8")))
+                    except (ValueError, RecursionError) as exc:
+                        log.warning("feed: skipped a bad line: %s: %s", type(exc).__name__, exc)
         except OSError:
             pass
 

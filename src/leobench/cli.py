@@ -223,7 +223,7 @@ def read_telemetry_jsonl(path: str) -> list[TelemetrySample]:
             continue
         try:
             samples.append(TelemetrySample.from_wire(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError) as exc:
             fail("BadInput", f"{path}:{i}: not a telemetry sample: {exc}")
     if not samples:
         fail("BadInput", f"{path}: empty telemetry trace")
@@ -300,21 +300,22 @@ def cmd_agent(args, cfg: CliConfig) -> int:
         source = SocketSource(host, port)
     else:
         source = SimSource(TerminalSim(TerminalModelConfig(rng_seed=args.sim_seed)))
-    agent = Agent(args.node_id,
-                  client=_client(cfg),
-                  store=ResultsStore(cfg.store_root),
-                  source=source,
-                  workdir=cfg.workdir,
-                  heartbeat_every_s=args.heartbeat_every_s)
-    _announce({"agent": args.node_id, "workdir": str(agent.workdir)})
-    stop = threading.Event()
-    if args.duration_s is not None:
-        threading.Timer(args.duration_s, stop.set).start()
-    try:
-        agent.run_forever(tick_interval_s=args.tick_interval_s, stop_event=stop)
-    except KeyboardInterrupt:
-        pass
-    agent.close()
+    with _client(cfg) as client:
+        agent = Agent(args.node_id,
+                      client=client,
+                      store=ResultsStore(cfg.store_root),
+                      source=source,
+                      workdir=cfg.workdir,
+                      heartbeat_every_s=args.heartbeat_every_s)
+        _announce({"agent": args.node_id, "workdir": str(agent.workdir)})
+        stop = threading.Event()
+        if args.duration_s is not None:
+            threading.Timer(args.duration_s, stop.set).start()
+        try:
+            agent.run_forever(tick_interval_s=args.tick_interval_s, stop_event=stop)
+        except KeyboardInterrupt:
+            pass
+        agent.close()
     return 0
 
 
@@ -334,7 +335,8 @@ def cmd_submit(args, cfg: CliConfig) -> int:
         spec = json.loads(_read_text(args.spec, "experiment spec"))
     except ValueError as exc:
         fail("BadSpec", f"spec file is not valid JSON: {exc}")
-    resp = _check_ok(_call(_client(cfg), {"type": "SUBMIT", "spec": spec}))
+    with _client(cfg) as client:
+        resp = _check_ok(_call(client, {"type": "SUBMIT", "spec": spec}))
     eid = resp["experiment_id"]
     emit(args, {"ok": True, "experiment_id": eid}, f"submitted {eid}")
     return 0
@@ -344,7 +346,8 @@ def cmd_status(args, cfg: CliConfig) -> int:
     msg: dict = {"type": "QUERY"}
     if args.experiment:
         msg["experiment_id"] = args.experiment
-    result = _check_ok(_call(_client(cfg), msg))["result"]
+    with _client(cfg) as client:
+        result = _check_ok(_call(client, msg))["result"]
     views = [result] if args.experiment else result
     if getattr(args, "json", False):
         emit(args, {"ok": True, "experiments": views})

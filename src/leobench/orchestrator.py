@@ -23,8 +23,13 @@ with no thread per connection. Each connection's replies go out in request
 order, and its next line is answered only once the reply before is sent.
 A request line longer than MAX_LINE_BYTES gets one BadMessage and closes
 its connection; a connection that for IDLE_TIMEOUT_S completes no line and
-takes none of its reply is closed. `OrchestratorClient` opens one
-connection per request.
+takes none of its reply is closed.
+
+`OrchestratorClient` keeps a small pool of connections and reuses one only
+while it has been idle under REUSE_IDLE_S (half of IDLE_TIMEOUT_S) and holds
+no pending end of stream or stray bytes; concurrent callers each get their
+own. A call that fails after its request was sent raises and is never sent
+again, since the server may already have applied it.
 
 Every mutating call is validated, then appended to a log in the `journal`
 format, then applied. The log is the only durable state: opening an existing
@@ -37,6 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import select
 import selectors
 import socket
 import threading
@@ -57,6 +63,9 @@ MAX_LINE_BYTES = 1 << 20   # a longer request line is refused and ends its conne
 IDLE_TIMEOUT_S = 10.0      # a connection that makes no progress for this long is closed
 ACCEPT_RETRY_S = 0.1       # pause in accepting after an accept error such as EMFILE
 RECV_BYTES = 1 << 16
+# a client reuses a pooled connection only if idle for less than this, so the
+# server's idle close never races a request
+REUSE_IDLE_S = IDLE_TIMEOUT_S / 2
 
 HEALTHY = "HEALTHY"
 STALE = "STALE"
@@ -730,15 +739,31 @@ class LocalClient:
 
 
 class OrchestratorClient:
-    """One short-lived TCP connection per request."""
+    """Calls the orchestrator over a small pool of reused TCP connections.
+
+    A call takes the most recently used idle connection, or opens one when
+    none is idle, so threads sharing a client each get their own. After a
+    complete reply the connection goes back to the pool. A pooled
+    connection is used again only if it was last used under REUSE_IDLE_S
+    ago, which keeps it clear of the server's IDLE_TIMEOUT_S close, and a
+    zero-timeout poll shows no pending end of stream or stray bytes, as a
+    server that closed it or restarted would leave; otherwise it is closed
+    and replaced before anything is sent. A failure after the request is
+    sent closes that connection and raises: the request is never sent
+    again, because a SUBMIT or COMPLETE may already have been applied. A
+    reply followed by further bytes means the stream is out of step, so
+    that connection is closed, not pooled.
+    """
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = int(port)
+        self._lock = threading.Lock()
+        self._idle: list[tuple[float, socket.socket]] = []   # (last used, conn), oldest first
 
     def call(self, msg: dict) -> dict:
-        with socket.create_connection((self.host, self.port),
-                                      timeout=CLIENT_TIMEOUT_S) as conn:
+        conn = self._take()
+        try:
             conn.sendall((json.dumps(msg) + "\n").encode())
             reply = bytearray()
             while True:
@@ -748,4 +773,44 @@ class OrchestratorClient:
                 reply += chunk
                 if b"\n" in chunk:
                     break
-        return json.loads(reply[:reply.index(b"\n")].decode("utf-8"))
+            end = reply.index(b"\n")
+            resp = json.loads(reply[:end].decode("utf-8"))
+        except BaseException:
+            conn.close()
+            raise
+        if end + 1 < len(reply):   # bytes after the reply: out of step
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append((time.monotonic(), conn))
+        return resp
+
+    def _take(self) -> socket.socket:
+        """A pooled connection fit to reuse, else a new one."""
+        with self._lock:
+            now = time.monotonic()
+            while self._idle and now - self._idle[0][0] >= REUSE_IDLE_S:
+                self._idle.pop(0)[1].close()
+            conn = self._idle.pop()[1] if self._idle else None
+        if conn is not None:
+            poll = select.poll()
+            poll.register(conn, select.POLLIN)
+            if not poll.poll(0):
+                return conn
+            conn.close()
+        conn = socket.create_connection((self.host, self.port), timeout=CLIENT_TIMEOUT_S)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
+
+    def close(self) -> None:
+        """Close every pooled connection; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for _, conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "OrchestratorClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -129,20 +129,35 @@ class TelemetrySample:
         return json.dumps(self.to_wire(), separators=(",", ":"))
 
     @classmethod
-    def from_wire(cls, obj: dict) -> "TelemetrySample":
+    def from_wire(cls, obj) -> "TelemetrySample":
+        """The sample one decoded wire record holds; raises only ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"telemetry record is not an object: {obj!r:.80}")
         missing = [k for k in WIRE_KEYS if k not in obj]
         if missing:
             raise ValueError(f"telemetry record missing keys: {missing}")
-        return cls(
-            ts_ms=int(obj["ts_ms"]),
-            pop_latency_ms=obj["pop_latency_ms"],
-            pop_drop_rate=obj["pop_drop_rate"],
-            az_deg=float(obj["az_deg"]),
-            el_deg=float(obj["el_deg"]),
-            bytes_down=int(obj["bytes_down"]),
-            bytes_up=int(obj["bytes_up"]),
-            state=str(obj["state"]),
-        )
+        ts_ms = obj["ts_ms"]
+        if not isinstance(ts_ms, int) or isinstance(ts_ms, bool):
+            raise ValueError(f"ts_ms is not an integer: {ts_ms!r:.80}")
+        for key in ("pop_latency_ms", "pop_drop_rate"):
+            value = obj[key]
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, float))
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{key} is not a finite number or null: {value!r:.80}")
+        try:
+            return cls(
+                ts_ms=ts_ms,
+                pop_latency_ms=obj["pop_latency_ms"],
+                pop_drop_rate=obj["pop_drop_rate"],
+                az_deg=float(obj["az_deg"]),
+                el_deg=float(obj["el_deg"]),
+                bytes_down=int(obj["bytes_down"]),
+                bytes_up=int(obj["bytes_up"]),
+                state=str(obj["state"]),
+            )
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad telemetry record: {exc}") from exc
 
     def latency(self) -> float:
         if self.pop_latency_ms is None:
