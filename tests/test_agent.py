@@ -1,6 +1,7 @@
 import json
 import logging
 import shutil
+import socket
 import time
 
 import pytest
@@ -709,3 +710,39 @@ def test_socket_source_reads_served_telemetry(tmp_path):
         if src is not None:
             src.close()
         svc.close()
+
+
+GOOD_WIRE = {"ts_ms": 2000, "pop_latency_ms": 31.5, "pop_drop_rate": 0.0, "az_deg": 10.0,
+             "el_deg": 60.0, "bytes_down": 100, "bytes_up": 10, "state": "ACTIVE"}
+
+
+@pytest.mark.parametrize("bad", [
+    b"\xff\xfe\n",
+    b"5\n",
+    json.dumps({**GOOD_WIRE, "ts_ms": None}).encode() + b"\n",
+    json.dumps({**GOOD_WIRE, "ts_ms": 3000, "pop_latency_ms": "x"}).encode() + b"\n",
+], ids=["not_utf8", "bare_number", "null_ts_ms", "string_latency"])
+def test_socket_source_skips_a_bad_line_and_reads_the_next(bad, caplog):
+    listener = socket.create_server(("127.0.0.1", 0))
+    src = None
+    try:
+        with caplog.at_level(logging.WARNING, logger="leobench.agent"):
+            src = SocketSource(*listener.getsockname())
+            feed, _ = listener.accept()
+            with feed:
+                feed.sendall(bad)
+                deadline = time.monotonic() + 5
+                while not caplog.records and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert "feed: skipped a bad line" in caplog.text
+                assert src.sample(0) is None
+                feed.sendall(json.dumps(GOOD_WIRE).encode() + b"\n")
+                sample = None
+                while sample is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    sample = src.sample(0)
+        assert sample is not None and sample.to_wire() == GOOD_WIRE
+    finally:
+        if src is not None:
+            src.close()
+        listener.close()

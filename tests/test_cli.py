@@ -463,6 +463,7 @@ def test_orchestrate_on_an_existing_log_carries_on(tmp_path, capsys):
     client = OrchestratorClient("127.0.0.1", port)
     seen = client.call({"type": "QUERY"})["result"]
     client.call({"type": "HEARTBEAT", "node_id": "n1", "ts_ms": 999})
+    client.close()
     daemon.join()
     assert out["rc"] == 0
     assert [e["id"] for e in seen] == ["e1"]     # the first life's table

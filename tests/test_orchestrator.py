@@ -787,6 +787,7 @@ def test_tcp_server_roundtrip():
         conflict = client.call({"type": "SUBMIT",
                                 "spec": make_spec("b").to_json()})
         assert conflict["error"]["kind"] == "ConflictError"
+        client.close()
     finally:
         srv.close()
 
@@ -883,8 +884,8 @@ def test_oversize_line_is_refused_and_its_connection_closed():
             assert resp["error"]["kind"] == "BadMessage"
             assert str(limit) in resp["error"]["message"]
             assert read_reply(conn) is None
-        client = OrchestratorClient(*addr)
-        assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+        with OrchestratorClient(*addr) as client:
+            assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
     finally:
         orch.close()
 
@@ -936,8 +937,8 @@ def test_accept_error_does_not_stop_serving(monkeypatch, caplog):
 
     monkeypatch.setattr(socket.socket, "accept", accept_once_failing)
     try:
-        client = OrchestratorClient(*srv.getsockname())
-        assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+        with OrchestratorClient(*srv.getsockname()) as client:
+            assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
         assert failures and thread.is_alive()
         assert "Too many open files" in caplog.text
     finally:
@@ -1024,3 +1025,153 @@ def test_concurrent_clients_get_their_own_replies(tmp_path):
     restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
     assert restored.to_state() == state
     restored.close()
+
+
+# --- OrchestratorClient's pooled connections ------------------------------
+
+@pytest.fixture
+def count_accepts(monkeypatch):
+    """The list of connections every socket has accepted since the test began."""
+    accepted = []
+    accept = socket.socket.accept
+
+    def counting_accept(self):
+        pair = accept(self)
+        accepted.append(pair[0])
+        return pair
+
+    monkeypatch.setattr(socket.socket, "accept", counting_accept)
+    return accepted
+
+
+def serve_raw(handle):
+    """A listening socket whose thread hands each connection it accepts to
+    `handle(conn)` on a thread of its own. Returns (address, stop)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def run():
+        with listener:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                conn.settimeout(10)
+                threading.Thread(target=handle, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname(), stop.set
+
+
+def test_client_serves_sequential_calls_over_one_connection(count_accepts):
+    orch = make_orch()
+    srv, _ = orch.serve(port=0)
+    try:
+        with OrchestratorClient(*srv.getsockname()) as client:
+            for t in range(20):
+                assert client.call({"type": "HEARTBEAT", "node_id": "n1", "ts_ms": t})["ok"]
+        assert len(count_accepts) == 1
+    finally:
+        orch.close()
+
+
+def test_client_does_not_reuse_a_connection_idle_past_the_bound(count_accepts, monkeypatch):
+    monkeypatch.setattr(orchestrator, "REUSE_IDLE_S", 0.0)
+    orch = make_orch()
+    srv, _ = orch.serve(port=0)
+    try:
+        with OrchestratorClient(*srv.getsockname()) as client:
+            for _ in range(3):
+                assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+        assert len(count_accepts) == 3
+    finally:
+        orch.close()
+
+
+@pytest.mark.parametrize("drop", ["idle_timeout", "restart"])
+def test_client_replaces_a_connection_the_server_dropped(drop, count_accepts, monkeypatch):
+    monkeypatch.setattr(orchestrator, "IDLE_TIMEOUT_S", 0.2)
+    orch = make_orch()
+    srv, thread = orch.serve(port=0)
+    addr = srv.getsockname()
+    client = OrchestratorClient(*addr)
+    try:
+        assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+        if drop == "idle_timeout":
+            time.sleep(1.0)   # the server closes the pooled connection meanwhile
+        else:
+            orch.close()
+            orch = make_orch()
+            orch.serve(*addr)
+        assert client.call({"type": "QUERY"}) == {"ok": True, "result": []}
+        assert len(count_accepts) == 2
+        assert thread.is_alive() == (drop == "idle_timeout")
+    finally:
+        client.close()
+        orch.close()
+
+
+def test_client_raises_and_never_resends_when_no_reply_comes():
+    """A SUBMIT the server may have applied is not sent again."""
+    seen = []
+
+    def read_one_then_close(conn):
+        with conn:
+            seen.append(conn.makefile("rb").readline())
+
+    addr, stop = serve_raw(read_one_then_close)
+    msg = {"type": "SUBMIT", "spec": make_spec("once").to_json()}
+    try:
+        with OrchestratorClient(*addr) as client, pytest.raises(OSError):
+            client.call(msg)
+        assert seen == [(json.dumps(msg) + "\n").encode()]
+    finally:
+        stop()
+
+
+def echo_lines(conn, extra=b"", first=None):
+    """Answer each request line {"n": x} with {"echo": x}, plus `extra`
+    bytes; the first reply waits for `first()` to return."""
+    with conn, conn.makefile("rb") as fh:
+        for line in fh:
+            if first is not None:
+                first()
+                first = None
+            echo = {"echo": json.loads(line)["n"]}
+            conn.sendall((json.dumps(echo) + "\n").encode() + extra)
+
+
+def test_client_shared_by_two_threads_uses_two_connections(count_accepts):
+    both_connected = threading.Barrier(2, timeout=5)
+    addr, stop = serve_raw(lambda conn: echo_lines(conn, first=both_connected.wait))
+    client = OrchestratorClient(*addr)
+    replies = {0: [], 1: []}
+
+    def run(worker: int):
+        for i in range(30):
+            replies[worker].append(client.call({"n": f"{worker}-{i}"})["echo"])
+
+    try:
+        workers = [threading.Thread(target=run, args=(w,), daemon=True) for w in (0, 1)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=20)
+        assert not any(w.is_alive() for w in workers)
+        assert replies == {w: [f"{w}-{i}" for i in range(30)] for w in (0, 1)}
+        assert len(count_accepts) == 2
+    finally:
+        client.close()
+        stop()
+
+
+def test_client_discards_a_connection_whose_reply_has_trailing_bytes(count_accepts):
+    addr, stop = serve_raw(lambda conn: echo_lines(conn, extra=b'{"echo": "stale"}\n'))
+    try:
+        with OrchestratorClient(*addr) as client:
+            assert [client.call({"n": i})["echo"] for i in range(3)] == [0, 1, 2]
+        assert len(count_accepts) == 3
+    finally:
+        stop()

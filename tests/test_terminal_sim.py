@@ -45,8 +45,25 @@ def test_wire_schema_keys_exact():
     wire = samples[0].to_wire()
     assert tuple(wire.keys()) == WIRE_KEYS
     assert TelemetrySample.from_wire(wire) is not None
+    outage = {**wire, "pop_latency_ms": None, "pop_drop_rate": None}
+    assert TelemetrySample.from_wire(outage).to_wire() == outage
     with pytest.raises(ValueError):
         TelemetrySample.from_wire({k: wire[k] for k in WIRE_KEYS[:-1]})
+
+
+@pytest.mark.parametrize("record", [
+    5, [1], "x", None,
+    {"ts_ms": None}, {"ts_ms": 1.5}, {"ts_ms": "1000"}, {"ts_ms": True},
+    {"pop_latency_ms": "x"}, {"pop_latency_ms": float("nan")},
+    {"pop_latency_ms": float("inf")}, {"pop_latency_ms": True},
+    {"pop_drop_rate": "x"}, {"pop_drop_rate": float("-inf")}, {"pop_drop_rate": [0.1]},
+    {"az_deg": None}, {"bytes_down": float("inf")},
+])
+def test_from_wire_refuses_a_bad_record_with_value_error(record):
+    _, samples = run_sim(TerminalModelConfig(rng_seed=1), 1)
+    obj = {**samples[0].to_wire(), **record} if isinstance(record, dict) else record
+    with pytest.raises(ValueError):
+        TelemetrySample.from_wire(obj)
 
 
 def test_clock_regression_rejected():
