@@ -217,10 +217,14 @@ class SocketSource:
         pass
 
     def close(self) -> None:
+        """End the feed connection and wait for the reader to return: the
+        reader's file holds the socket open, so only a shutdown ends it."""
         try:
-            self._sock.close()
-        except OSError:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:   # the server already ended the stream
             pass
+        self._sock.close()
+        self._thread.join()
 
 
 class Agent:

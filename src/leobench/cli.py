@@ -300,22 +300,25 @@ def cmd_agent(args, cfg: CliConfig) -> int:
         source = SocketSource(host, port)
     else:
         source = SimSource(TerminalSim(TerminalModelConfig(rng_seed=args.sim_seed)))
-    with _client(cfg) as client:
-        agent = Agent(args.node_id,
-                      client=client,
-                      store=ResultsStore(cfg.store_root),
-                      source=source,
-                      workdir=cfg.workdir,
-                      heartbeat_every_s=args.heartbeat_every_s)
-        _announce({"agent": args.node_id, "workdir": str(agent.workdir)})
-        stop = threading.Event()
-        if args.duration_s is not None:
-            threading.Timer(args.duration_s, stop.set).start()
-        try:
-            agent.run_forever(tick_interval_s=args.tick_interval_s, stop_event=stop)
-        except KeyboardInterrupt:
-            pass
-        agent.close()
+    try:
+        with _client(cfg) as client:
+            agent = Agent(args.node_id,
+                          client=client,
+                          store=ResultsStore(cfg.store_root),
+                          source=source,
+                          workdir=cfg.workdir,
+                          heartbeat_every_s=args.heartbeat_every_s)
+            _announce({"agent": args.node_id, "workdir": str(agent.workdir)})
+            stop = threading.Event()
+            if args.duration_s is not None:
+                threading.Timer(args.duration_s, stop.set).start()
+            try:
+                agent.run_forever(tick_interval_s=args.tick_interval_s, stop_event=stop)
+            except KeyboardInterrupt:
+                pass
+            agent.close()
+    finally:
+        source.close()
     return 0
 
 

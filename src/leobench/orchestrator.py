@@ -23,7 +23,11 @@ with no thread per connection. Each connection's replies go out in request
 order, and its next line is answered only once the reply before is sent.
 A request line longer than MAX_LINE_BYTES gets one BadMessage and closes
 its connection; a connection that for IDLE_TIMEOUT_S completes no line and
-takes none of its reply is closed.
+takes none of its reply is closed. A QUERY reply on the wire is joined
+from each experiment's view as encoded JSON text, kept per experiment and
+encoded again only after one of its runs changes state or is requeued, so
+a whole-table QUERY does not re-encode the table on the serving thread;
+its bytes are those of encoding `handle_message`'s reply.
 
 `OrchestratorClient` keeps a small pool of connections and reuses one only
 while it has been idle under REUSE_IDLE_S (half of IDLE_TIMEOUT_S) and holds
@@ -51,7 +55,7 @@ from dataclasses import dataclass, field
 
 from .clocks import WallClock
 from .journal import Journal
-from .triggers import TriggerBinding, TriggerSyntaxError, UnknownMetric
+from .triggers import TriggerBinding, TriggerSyntaxError, UnknownMetric, reads_orbital_state
 
 EXPERIMENT_KINDS = ("PING", "HPING", "TRACEROUTE", "BULK_FLOW", "CUSTOM")
 OVERHEAD_CLASSES = ("OVERHEAD", "NO_OVERHEAD")
@@ -249,6 +253,8 @@ class RunRecord:
 class Experiment:
     spec: ExperimentSpec
     runs: dict[str, RunRecord]   # by client node id, in sorted order
+    # json.dumps of its QUERY view, built at QUERY time; None once a run changes
+    view_text: str | None = None
 
 
 def _error(kind: str, message: str, **extra) -> dict:
@@ -288,6 +294,10 @@ class Orchestrator:
     def submit_experiment(self, spec) -> str:
         if not isinstance(spec, ExperimentSpec):
             spec = ExperimentSpec.from_json(spec)
+        # checked here, not in ExperimentSpec, so a log holding one still replays
+        if spec.trigger is not None and reads_orbital_state(spec.binding().expr):
+            raise BadSpec(f"{spec.id}: trigger reads visible_sats, which no agent "
+                          "can evaluate without orbital state")
         with self._lock:
             if spec.id in self._experiments:
                 raise DuplicateExperiment(f"experiment id {spec.id!r} already exists")
@@ -374,6 +384,7 @@ class Orchestrator:
             if rec is not None and report.get("state") == "RUNNING" \
                     and rec.state == "SCHEDULED":
                 rec.state = "RUNNING"
+                experiment.view_text = None
 
     # --- completions ------------------------------------------------------
 
@@ -400,7 +411,9 @@ class Orchestrator:
     def _apply_complete(self, experiment_id: str, node_id: str,
                         manifest: dict) -> dict:
         state = manifest.get("state", "COMPLETED")
-        rec = self._experiments[experiment_id].runs[node_id]
+        experiment = self._experiments[experiment_id]
+        experiment.view_text = None
+        rec = experiment.runs[node_id]
         rec.completions.add((manifest.get("run_start_ms"), state))
         rec.manifest = dict(manifest)
         requeued = False
@@ -429,6 +442,29 @@ class Orchestrator:
         return {"id": spec.id, "kind": spec.kind, "overhead": spec.overhead,
                 "runs": [{"node_id": nid, "state": rec.state, "requeues": rec.requeues}
                          for nid, rec in experiment.runs.items()]}
+
+    def _query_text(self, msg) -> str | None:
+        """The wire reply to a QUERY naming no experiment or an existing
+        one, joined from each experiment's encoded view and equal to
+        json.dumps(self.handle_message(msg)); None for any other message.
+        Only views whose runs changed since their last QUERY are encoded."""
+        if not isinstance(msg, dict) or msg.get("type") != "QUERY":
+            return None
+        eid = msg.get("experiment_id")
+        with self._lock:
+            if eid is None:
+                texts = [self._view_text(self._experiments[k])
+                         for k in sorted(self._experiments)]
+                return '{"ok": true, "result": [' + ", ".join(texts) + "]}"
+            experiment = self._experiments.get(eid) if isinstance(eid, str) else None
+            if experiment is None:   # its error comes from handle_message
+                return None
+            return '{"ok": true, "result": ' + self._view_text(experiment) + "}"
+
+    def _view_text(self, experiment: Experiment) -> str:
+        if experiment.view_text is None:
+            experiment.view_text = json.dumps(self._experiment_view(experiment))
+        return experiment.view_text
 
     def node_health(self, now_ms: int | None = None) -> dict[str, str]:
         with self._lock:
@@ -565,6 +601,9 @@ class Orchestrator:
             except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
                 resp = _error("BadMessage", f"invalid JSON: {exc}")
             else:
+                reply = self._query_text(msg)
+                if reply is not None:
+                    return (reply + "\n").encode()
                 resp = self.handle_message(msg)
         return (json.dumps(resp) + "\n").encode()
 

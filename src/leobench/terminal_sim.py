@@ -88,6 +88,7 @@ log = logging.getLogger(__name__)
 
 WIRE_KEYS = ("ts_ms", "pop_latency_ms", "pop_drop_rate", "az_deg", "el_deg",
              "bytes_down", "bytes_up", "state")
+SAMPLE_STATES = ("ACTIVE", "OUTAGE")
 
 
 class ClockRegression(RuntimeError):
@@ -111,7 +112,7 @@ class TelemetrySample:
     el_deg: float
     bytes_down: int
     bytes_up: int
-    state: str  # ACTIVE | OUTAGE
+    state: str  # one of SAMPLE_STATES
 
     def to_wire(self) -> dict:
         return {
@@ -145,6 +146,14 @@ class TelemetrySample:
                                       or not isinstance(value, (int, float))
                                       or not math.isfinite(value)):
                 raise ValueError(f"{key} is not a finite number or null: {value!r:.80}")
+        if obj["pop_drop_rate"] is not None and not 0 <= obj["pop_drop_rate"] <= 1:
+            raise ValueError(f"pop_drop_rate is outside [0, 1]: {obj['pop_drop_rate']!r}")
+        for key in ("bytes_down", "bytes_up"):
+            value = obj[key]
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{key} is not a non-negative integer: {value!r:.80}")
+        if obj["state"] not in SAMPLE_STATES:
+            raise ValueError(f"state is not one of {SAMPLE_STATES}: {obj['state']!r:.80}")
         try:
             return cls(
                 ts_ms=ts_ms,
@@ -152,9 +161,9 @@ class TelemetrySample:
                 pop_drop_rate=obj["pop_drop_rate"],
                 az_deg=float(obj["az_deg"]),
                 el_deg=float(obj["el_deg"]),
-                bytes_down=int(obj["bytes_down"]),
-                bytes_up=int(obj["bytes_up"]),
-                state=str(obj["state"]),
+                bytes_down=obj["bytes_down"],
+                bytes_up=obj["bytes_up"],
+                state=obj["state"],
             )
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"bad telemetry record: {exc}") from exc

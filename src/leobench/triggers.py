@@ -21,7 +21,9 @@ Grammar (keywords case-insensitive):
 Division is only defined by a nonzero constant. `mavg(m, n)` averages the
 n windows before the current sample, so a fresh spike is compared against
 clean history. `weather` parses but its provider is a stub, so any
-expression touching it evaluates to INSUFFICIENT_HISTORY.
+expression touching it evaluates to INSUFFICIENT_HISTORY. `visible_sats`
+needs an OrbitalContext, which no agent holds, so the orchestrator refuses
+at submit a trigger that `reads_orbital_state`.
 """
 
 from __future__ import annotations
@@ -315,6 +317,17 @@ def _pretty_operand(expr: Expr) -> str:
     if isinstance(expr, (BoolOp, Not)):
         return f"({pretty(expr)})"
     return pretty(expr)
+
+
+def reads_orbital_state(expr: Expr) -> bool:
+    """Whether `expr` holds a VisibleSatsMetric anywhere."""
+    if isinstance(expr, VisibleSatsMetric):
+        return True
+    if isinstance(expr, Not):
+        return reads_orbital_state(expr.operand)
+    if isinstance(expr, (Arith, Compare, BoolOp)):
+        return reads_orbital_state(expr.left) or reads_orbital_state(expr.right)
+    return False
 
 
 # --- evaluation ----------------------------------------------------------

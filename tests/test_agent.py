@@ -746,3 +746,18 @@ def test_socket_source_skips_a_bad_line_and_reads_the_next(bad, caplog):
         if src is not None:
             src.close()
         listener.close()
+
+
+def test_socket_source_close_ends_the_feed_connection():
+    listener = socket.create_server(("127.0.0.1", 0))
+    try:
+        src = SocketSource(*listener.getsockname())
+        feed, _ = listener.accept()
+        with feed:
+            feed.settimeout(1.0)
+            src.close()
+            assert feed.recv(1) == b""   # EOF, not a timeout
+        src._thread.join(timeout=1.0)
+        assert not src._thread.is_alive()
+    finally:
+        listener.close()

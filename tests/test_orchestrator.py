@@ -74,6 +74,21 @@ def test_spec_rejects_ids_that_are_not_path_safe(eid, nodes):
         make_spec(eid, nodes=nodes)
 
 
+@pytest.mark.parametrize("expr", [
+    "visible_sats(25) >= 0",
+    "latency_ms > 80 AND NOT (visible_sats(10) + 1 < 3)",
+])
+def test_trigger_reading_orbital_state_refused_at_submit(expr):
+    """No agent holds an OrbitalContext, so such a trigger would never fire."""
+    orch = make_orch()
+    spec = make_spec("orb", trigger={"trigger": expr, "max_runtime_s": 10})
+    with pytest.raises(BadSpec, match="visible_sats"):
+        orch.submit_experiment(spec)
+    reply = orch.handle_message({"type": "SUBMIT", "spec": spec.to_json()})
+    assert reply["error"]["kind"] == "BadSpec"
+    assert orch.query() == []
+
+
 def test_bad_trigger_rejected_at_parse():
     with pytest.raises(BadTrigger):
         make_spec("x", trigger={"trigger": "latency_ms >=> 2"})
@@ -557,6 +572,67 @@ def test_orchestrator_replies_golden_digest(tmp_path):
     blob = json.dumps([replies, state]).encode() + log.read_bytes()
     assert hashlib.sha256(blob).hexdigest() == \
         "ac3a03c3de47c2309ab0bf5a4a1f41cc60e39f8d26a82d48efae9d99ccc3e805"
+
+
+def test_wire_replies_equal_encoded_handle_message_replies():
+    """The wire path answers a QUERY from cached encoded views; every reply
+    over the golden script is byte-identical to encoding handle_message's."""
+    a, b = make_orch(), make_orch()
+    queries = 0
+    for msg in golden_messages():
+        want = (json.dumps(b.handle_message(msg)) + "\n").encode()
+        assert a._answer(json.dumps(msg).encode()) == want, msg
+        queries += msg["type"] == "QUERY"
+    assert queries > 40
+    assert a.to_state() == b.to_state()
+
+
+def wire_query(orch, eid=None):
+    """A wire QUERY's decoded result, checked byte for byte against
+    encoding handle_message's reply."""
+    msg = {"type": "QUERY"} if eid is None else {"type": "QUERY", "experiment_id": eid}
+    reply = orch._answer(json.dumps(msg).encode())
+    assert reply == (json.dumps(orch.handle_message(msg)) + "\n").encode()
+    return json.loads(reply)["result"]
+
+
+def wire_runs(orch, eid="a"):
+    """(node, state, requeues) of each run of `eid`, read by a one-experiment
+    and by a whole-table wire QUERY, which must agree."""
+    view = wire_query(orch, eid)
+    assert [e for e in wire_query(orch) if e["id"] == eid] == [view]
+    return [(r["node_id"], r["state"], r["requeues"]) for r in view["runs"]]
+
+
+def test_wire_query_sees_every_run_change_live_and_after_restore(tmp_path):
+    """A QUERY after each kind of mutation sees it, although the QUERY
+    before it cached the experiment's encoded view; so does a restored
+    orchestrator, whose views are rebuilt from the log."""
+    log = tmp_path / "orch.jsonl"
+    orch = make_orch(log_path=log)
+    orch.submit_experiment(make_spec("a", nodes=("n1", "n2")))
+    assert wire_runs(orch) == [("n1", "SCHEDULED", 0), ("n2", "SCHEDULED", 0)]
+    orch.heartbeat("n1", ts_ms=0, runs=[{"experiment_id": "a", "state": "RUNNING"}])
+    assert wire_runs(orch) == [("n1", "RUNNING", 0), ("n2", "SCHEDULED", 0)]
+    orch.record_completion("a", "n1", {"state": "COMPLETED", "run_start_ms": 1})
+    assert wire_runs(orch) == [("n1", "COMPLETED", 0), ("n2", "SCHEDULED", 0)]
+    orch.record_completion("a", "n2", {"state": "PREEMPTED", "run_start_ms": 2})
+    assert wire_runs(orch) == [("n1", "COMPLETED", 0), ("n2", "SCHEDULED", 1)]
+    orch.submit_experiment(make_spec("b", nodes=("n3",)))
+    assert [e["id"] for e in wire_query(orch)] == ["a", "b"]
+    table = wire_query(orch)
+    orch.close()
+
+    restored = Orchestrator.restore(NODES, log, clock=SimClock(0))
+    assert wire_query(restored) == table
+    restored.heartbeat("n2", ts_ms=1, runs=[{"experiment_id": "a", "state": "RUNNING"}])
+    assert wire_runs(restored) == [("n1", "COMPLETED", 0), ("n2", "RUNNING", 1)]
+    restored.record_completion("a", "n2", {"state": "PREEMPTED", "run_start_ms": 3})
+    assert wire_runs(restored) == [("n1", "COMPLETED", 0), ("n2", "PREEMPTED", 1)]
+    restored.submit_experiment(make_spec("0", nodes=("n1",), windows=((60000, 90000),)))
+    assert [e["id"] for e in wire_query(restored)] == ["0", "a", "b"]
+    assert wire_runs(restored, "0") == [("n1", "SCHEDULED", 0)]
+    restored.close()
 
 
 # --- property tests -------------------------------------------------------

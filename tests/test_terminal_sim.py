@@ -66,6 +66,39 @@ def test_from_wire_refuses_a_bad_record_with_value_error(record):
         TelemetrySample.from_wire(obj)
 
 
+@pytest.mark.parametrize("record", [
+    {"pop_drop_rate": 1.5}, {"pop_drop_rate": -0.01},
+], ids=["above_one", "negative"])
+def test_from_wire_refuses_a_drop_rate_outside_unit_interval(record):
+    _, samples = run_sim(TerminalModelConfig(rng_seed=1), 1)
+    with pytest.raises(ValueError, match="pop_drop_rate"):
+        TelemetrySample.from_wire({**samples[0].to_wire(), **record})
+
+
+@pytest.mark.parametrize("state", ["DEGRADED", "active", 1, None])
+def test_from_wire_refuses_an_unknown_state(state):
+    _, samples = run_sim(TerminalModelConfig(rng_seed=1), 1)
+    with pytest.raises(ValueError, match="state"):
+        TelemetrySample.from_wire({**samples[0].to_wire(), "state": state})
+
+
+@pytest.mark.parametrize("key", ["bytes_down", "bytes_up"])
+@pytest.mark.parametrize("value", [-1, 10.0, True, "10"],
+                         ids=["negative", "float", "bool", "string"])
+def test_from_wire_refuses_a_counter_that_is_not_a_non_negative_integer(key, value):
+    _, samples = run_sim(TerminalModelConfig(rng_seed=1), 1)
+    with pytest.raises(ValueError, match=key):
+        TelemetrySample.from_wire({**samples[0].to_wire(), key: value})
+
+
+def test_from_wire_accepts_the_bounds():
+    _, samples = run_sim(TerminalModelConfig(rng_seed=1), 1)
+    for record in ({"pop_drop_rate": 0}, {"pop_drop_rate": 1.0},
+                   {"bytes_down": 0, "bytes_up": 0}, {"state": "OUTAGE"}):
+        wire = {**samples[0].to_wire(), **record}
+        assert TelemetrySample.from_wire(wire).to_wire() == wire
+
+
 def test_clock_regression_rejected():
     sim = TerminalSim(TerminalModelConfig())
     sim.step(T0)
