@@ -23,10 +23,10 @@ with no thread per connection. Each connection's replies go out in request
 order, and its next line is answered only once the reply before is sent.
 A request line longer than MAX_LINE_BYTES gets one BadMessage and closes
 its connection; a connection that for IDLE_TIMEOUT_S completes no line and
-takes none of its reply is closed. A QUERY reply on the wire is joined
-from each experiment's view as encoded JSON text, kept per experiment and
-encoded again only after one of its runs changes state or is requeued, so
-a whole-table QUERY does not re-encode the table on the serving thread;
+takes none of its reply is closed. A whole-table QUERY reply on the wire
+is joined from each experiment's view as encoded JSON text, kept per
+experiment and encoded again only after one of its runs changes state or
+is requeued, so it does not re-encode the table on the serving thread;
 its bytes are those of encoding `handle_message`'s reply.
 
 `OrchestratorClient` keeps a small pool of connections and reuses one only
@@ -444,27 +444,21 @@ class Orchestrator:
                          for nid, rec in experiment.runs.items()]}
 
     def _query_text(self, msg) -> str | None:
-        """The wire reply to a QUERY naming no experiment or an existing
-        one, joined from each experiment's encoded view and equal to
-        json.dumps(self.handle_message(msg)); None for any other message.
-        Only views whose runs changed since their last QUERY are encoded."""
-        if not isinstance(msg, dict) or msg.get("type") != "QUERY":
+        """The wire reply to a whole-table QUERY, joined from each
+        experiment's encoded view and equal to
+        json.dumps(self.handle_message(msg)); None for any other message,
+        which handle_message answers. Only views whose runs changed since
+        their last QUERY are encoded."""
+        if not isinstance(msg, dict) or msg.get("type") != "QUERY" \
+                or msg.get("experiment_id") is not None:
             return None
-        eid = msg.get("experiment_id")
         with self._lock:
-            if eid is None:
-                texts = [self._view_text(self._experiments[k])
-                         for k in sorted(self._experiments)]
-                return '{"ok": true, "result": [' + ", ".join(texts) + "]}"
-            experiment = self._experiments.get(eid) if isinstance(eid, str) else None
-            if experiment is None:   # its error comes from handle_message
-                return None
-            return '{"ok": true, "result": ' + self._view_text(experiment) + "}"
-
-    def _view_text(self, experiment: Experiment) -> str:
-        if experiment.view_text is None:
-            experiment.view_text = json.dumps(self._experiment_view(experiment))
-        return experiment.view_text
+            texts = []
+            for _, experiment in sorted(self._experiments.items()):
+                if experiment.view_text is None:
+                    experiment.view_text = json.dumps(self._experiment_view(experiment))
+                texts.append(experiment.view_text)
+        return '{"ok": true, "result": [' + ", ".join(texts) + "]}"
 
     def node_health(self, now_ms: int | None = None) -> dict[str, str]:
         with self._lock:

@@ -320,13 +320,18 @@ def _pretty_operand(expr: Expr) -> str:
 
 
 def reads_orbital_state(expr: Expr) -> bool:
-    """Whether `expr` holds a VisibleSatsMetric anywhere."""
-    if isinstance(expr, VisibleSatsMetric):
-        return True
-    if isinstance(expr, Not):
-        return reads_orbital_state(expr.operand)
-    if isinstance(expr, (Arith, Compare, BoolOp)):
-        return reads_orbital_state(expr.left) or reads_orbital_state(expr.right)
+    """Whether `expr` holds a VisibleSatsMetric anywhere. Walks with a
+    stack, not recursion: the parser builds AND/OR and +/- chains in loops,
+    so a long chain nests deeper than the interpreter's recursion limit."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, VisibleSatsMetric):
+            return True
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (Arith, Compare, BoolOp)):
+            stack += (node.left, node.right)
     return False
 
 

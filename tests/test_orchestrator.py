@@ -89,6 +89,20 @@ def test_trigger_reading_orbital_state_refused_at_submit(expr):
     assert orch.query() == []
 
 
+@pytest.mark.parametrize("tail,kind", [("", None), (" + visible_sats(25)", "BadSpec")])
+def test_long_trigger_chain_gets_a_reply(tail, kind):
+    """The parser builds a +/- chain in a loop, so 2000 terms nest deeper
+    than the recursion limit; the orbital-state check still answers."""
+    orch = make_orch()
+    expr = "+".join(["1"] * 2000) + tail + " > 0"
+    spec = make_spec("long", trigger={"trigger": expr, "max_runtime_s": 10})
+    reply = orch.handle_message({"type": "SUBMIT", "spec": spec.to_json()})
+    assert (reply.get("error") or {}).get("kind") == kind, reply
+    wire = json.loads(orch._answer(json.dumps(
+        {"type": "SUBMIT", "spec": dict(spec.to_json(), id="wire")}).encode()))
+    assert (wire.get("error") or {}).get("kind") == kind, wire
+
+
 def test_bad_trigger_rejected_at_parse():
     with pytest.raises(BadTrigger):
         make_spec("x", trigger={"trigger": "latency_ms >=> 2"})
