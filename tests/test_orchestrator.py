@@ -589,7 +589,7 @@ def test_orchestrator_replies_golden_digest(tmp_path):
 
 
 def test_wire_replies_equal_encoded_handle_message_replies():
-    """The wire path answers a QUERY from cached encoded views; every reply
+    """The wire path answers a whole-table QUERY from cached encoded views; every reply
     over the golden script is byte-identical to encoding handle_message's."""
     a, b = make_orch(), make_orch()
     queries = 0
