@@ -406,8 +406,16 @@ class Agent:
 
     def _poll_triggers(self, now: int) -> None:
         for eid, bstate in self._bindings.items():
+            if bstate.disabled:
+                continue
             spec = self._specs[eid]
-            state = evaluate(bstate.binding.expr, self.window, now_ms=now)
+            try:
+                state = evaluate(bstate.binding.expr, self.window, now_ms=now)
+            except Exception:   # one binding's fault must not end the tick
+                log.exception("agent %s: trigger of %s raised; binding disabled",
+                              self.node_id, eid)
+                bstate.disabled = True
+                continue
             active = self._active_run_for(eid)
             if active is not None:
                 stop_early = bool(spec.trigger.get("stop_on_deassert")) \

@@ -308,14 +308,20 @@ def cmd_agent(args, cfg: CliConfig) -> int:
                           source=source,
                           workdir=cfg.workdir,
                           heartbeat_every_s=args.heartbeat_every_s)
-            _announce({"agent": args.node_id, "workdir": str(agent.workdir)})
             stop = threading.Event()
-            if args.duration_s is not None:
-                threading.Timer(args.duration_s, stop.set).start()
+            # not a daemon thread: left running, it would hold the exit until it fires
+            timer = threading.Timer(args.duration_s, stop.set) \
+                if args.duration_s is not None else None
             try:
+                _announce({"agent": args.node_id, "workdir": str(agent.workdir)})
+                if timer is not None:
+                    timer.start()
                 agent.run_forever(tick_interval_s=args.tick_interval_s, stop_event=stop)
             except KeyboardInterrupt:
                 pass
+            finally:
+                if timer is not None:
+                    timer.cancel()
             agent.close()
     finally:
         source.close()

@@ -15,12 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .terminal_sim import HANDOVER_PERIOD_MS
 
 SEGMENT_ORDER = ("S1", "S2", "S3", "S4", "S5", "S6")
 
 SPIKE_BASELINE_WINDOW_S = 120
+# Elements (windows x SPIKE_BASELINE_WINDOW_S) per `np.median` call over full
+# baseline windows: rows go through it in blocks, so the partition copy
+# stays near 2 MB however long the series is.
+_BASELINE_BLOCK_ELEMENTS = 1 << 18
 LOW_CONFIDENCE_MIN_SAMPLES = 30
 
 
@@ -192,16 +197,29 @@ def detect_spikes(series, k_mult: float, min_persist_s: int) -> list[SpikeInterv
     The baseline is a trailing 120 s rolling median, so it stays anchored to
     quiet behaviour through spikes shorter than half the window. Scale-free:
     series * c produces identical intervals.
+
+    The first 119 samples take the median of the samples so far, one
+    `np.median` each. Every later sample's full window is a row of
+    `sliding_window_view(arr, 120)`, and the rows go through
+    `np.median(..., axis=1)` in blocks of at most _BASELINE_BLOCK_ELEMENTS
+    elements, so memory stays bounded on a day-long series. Each row's
+    median is the same float a `np.median` of that window alone gives.
     """
     arr = np.asarray(series, dtype=float)
     if len(arr) < 60:
         raise ValueError(f"need >= 60 s of samples, have {len(arr)}")
     if k_mult <= 1.0:
         raise ValueError("k_mult must exceed 1")
+    window = SPIKE_BASELINE_WINDOW_S
     baseline = np.empty(len(arr))
-    for i in range(len(arr)):
-        lo = max(0, i - SPIKE_BASELINE_WINDOW_S + 1)
-        baseline[i] = np.median(arr[lo:i + 1])
+    for i in range(min(len(arr), window - 1)):
+        baseline[i] = np.median(arr[:i + 1])
+    if len(arr) >= window:
+        rows = sliding_window_view(arr, window)   # row j ends at sample j + window - 1
+        block = max(1, _BASELINE_BLOCK_ELEMENTS // window)
+        for lo in range(0, len(rows), block):
+            hi = min(lo + block, len(rows))
+            baseline[lo + window - 1:hi + window - 1] = np.median(rows[lo:hi], axis=1)
     mask = arr >= k_mult * baseline
 
     period_s = HANDOVER_PERIOD_MS // 1000

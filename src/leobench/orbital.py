@@ -11,6 +11,13 @@ sidereal angle. That keeps every quantity the terminal model needs (who is
 overhead, how far away) well inside a few-percent accuracy budget without
 dragging in a full perturbation model.
 
+One position formula, `_ecef_km`, serves `propagate` and the terminal
+model. It takes an element set's constants (`_orbit`) and an instant as
+integer microseconds since the Unix epoch, and divides each integer
+difference by 10**6, which is exactly what `timedelta.total_seconds()`
+returns; so a caller holding a datetime and one holding integer
+milliseconds get the same bits, sub-millisecond epochs included.
+
 `look_angles` computes the geometry of a whole catalog at many instants at
 once, and `visible_sats` is its one-instant case. A batch gives every
 (instant, satellite) pair the same bits as one instant alone would:
@@ -34,6 +41,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +58,9 @@ SHELL_INCLINATION_DEG = 53.0
 SHELL_ALTITUDE_KM = 550.0
 
 _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_J2000_US = (_J2000 - _UNIX_EPOCH) // _MICROSECOND
 
 
 class MalformedTle(ValueError):
@@ -208,32 +219,61 @@ def load_catalog(text: str) -> list[TleRecord]:
     return records
 
 
-def gmst_rad(t: datetime) -> float:
-    """Greenwich sidereal angle from the earth-rotation-angle polynomial."""
-    du = (t - _J2000).total_seconds() / SECONDS_PER_DAY
+def _unix_us(t: datetime) -> int:
+    """Integer microseconds from the Unix epoch to t."""
+    return (t - _UNIX_EPOCH) // _MICROSECOND
+
+
+def _gmst(s_since_j2000: float) -> float:
+    du = s_since_j2000 / SECONDS_PER_DAY
     turns = 0.7790572732640 + 1.00273781191135448 * du
     return 2.0 * math.pi * (turns % 1.0)
 
 
-def _orbit_state(rec: TleRecord, t: datetime) -> tuple[float, float, float, float]:
-    n = rec.mean_motion_rev_per_day * 2.0 * math.pi / SECONDS_PER_DAY
-    a = rec.semi_major_axis_km
-    dt = (t - rec.epoch).total_seconds()
-    u = math.radians(rec.arg_perigee_deg + rec.mean_anomaly_deg) + n * dt
-    return a, u, math.radians(rec.inclination_deg), math.radians(rec.raan_deg)
+def gmst_rad(t: datetime) -> float:
+    """Greenwich sidereal angle from the earth-rotation-angle polynomial."""
+    return _gmst((t - _J2000).total_seconds())
+
+
+class _Orbit(NamedTuple):
+    """The constants of one element set under the circular model: epoch in
+    integer microseconds since the Unix epoch, radius (km), mean motion
+    (rad/s), argument of latitude at epoch, and cos/sin of inclination and
+    RAAN."""
+
+    epoch_us: int
+    a: float
+    n: float
+    u0: float
+    cos_inc: float
+    sin_inc: float
+    cos_raan: float
+    sin_raan: float
+
+
+def _orbit(rec: TleRecord) -> _Orbit:
+    inc, raan = math.radians(rec.inclination_deg), math.radians(rec.raan_deg)
+    return _Orbit(
+        epoch_us=_unix_us(rec.epoch),
+        a=rec.semi_major_axis_km,
+        n=rec.mean_motion_rev_per_day * 2.0 * math.pi / SECONDS_PER_DAY,
+        u0=math.radians(rec.arg_perigee_deg + rec.mean_anomaly_deg),
+        cos_inc=math.cos(inc), sin_inc=math.sin(inc),
+        cos_raan=math.cos(raan), sin_raan=math.sin(raan),
+    )
+
+
+def _eci_km(o: _Orbit, dt_s: float) -> tuple[float, float, float]:
+    u = o.u0 + o.n * dt_s
+    cu, su = math.cos(u), math.sin(u)
+    return (o.a * (o.cos_raan * cu - o.sin_raan * su * o.cos_inc),
+            o.a * (o.sin_raan * cu + o.cos_raan * su * o.cos_inc),
+            o.a * (su * o.sin_inc))
 
 
 def propagate_eci(rec: TleRecord, t: datetime) -> np.ndarray:
     """Inertial position (km) under the circular-orbit model. No staleness guard."""
-    a, u, inc, raan = _orbit_state(rec, t)
-    cu, su = math.cos(u), math.sin(u)
-    ci = math.cos(inc)
-    cr, sr = math.cos(raan), math.sin(raan)
-    return a * np.array([
-        cr * cu - sr * su * ci,
-        sr * cu + cr * su * ci,
-        su * math.sin(inc),
-    ])
+    return np.array(_eci_km(_orbit(rec), (t - rec.epoch).total_seconds()))
 
 
 def _check_ephemeris_age(abs_dt_s: float) -> None:
@@ -245,20 +285,24 @@ def _check_ephemeris_age(abs_dt_s: float) -> None:
         raise StaleEphemeris(f"elements are {age_days:.1f} days from epoch (limit {MAX_EPHEMERIS_AGE_DAYS:g})")
 
 
+def _ecef_km(o: _Orbit, t_us: int) -> np.ndarray:
+    """Earth-fixed position (km) at t_us, integer microseconds since the Unix
+    epoch: the one position formula behind `propagate` and the terminal
+    model. Raises StaleEphemeris when |t - epoch| exceeds 7 days."""
+    dt_s = (t_us - o.epoch_us) / 10**6
+    _check_ephemeris_age(abs(dt_s))
+    x, y, z = _eci_km(o, dt_s)
+    theta = _gmst((t_us - _J2000_US) / 10**6)
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array([x * ct + y * st, -x * st + y * ct, z])
+
+
 def propagate(rec: TleRecord, t: datetime) -> np.ndarray:
     """Earth-fixed position (km) at time t.
 
     Raises StaleEphemeris when |t - epoch| exceeds 7 days.
     """
-    _check_ephemeris_age(abs((t - rec.epoch).total_seconds()))
-    eci = propagate_eci(rec, t)
-    theta = gmst_rad(t)
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([
-        eci[0] * ct + eci[1] * st,
-        -eci[0] * st + eci[1] * ct,
-        eci[2],
-    ])
+    return _ecef_km(_orbit(rec), _unix_us(t))
 
 
 def topocentric(site: GroundSite, sat_ecef_km: np.ndarray) -> tuple[float, float, float]:

@@ -55,13 +55,17 @@ from dataclasses import dataclass, field
 
 from .clocks import WallClock
 from .journal import Journal
-from .triggers import TriggerBinding, TriggerSyntaxError, UnknownMetric, reads_orbital_state
+from .triggers import (TriggerBinding, TriggerSyntaxError, UnknownMetric, node_count,
+                       reads_orbital_state)
 
 EXPERIMENT_KINDS = ("PING", "HPING", "TRACEROUTE", "BULK_FLOW", "CUSTOM")
 OVERHEAD_CLASSES = ("OVERHEAD", "NO_OVERHEAD")
 TERMINAL_STATES = ("COMPLETED", "FAILED", "KILLED", "PREEMPTED")
 
 MAX_REQUEUES = 1   # times a PREEMPTED run is re-enqueued before it sticks
+# trigger tree nodes accepted at SUBMIT; an agent evaluates a tree one
+# frame per level, so this keeps every accepted trigger inside the recursion limit
+MAX_TRIGGER_NODES = 256
 CLIENT_TIMEOUT_S = 10.0
 MAX_LINE_BYTES = 1 << 20   # a longer request line is refused and ends its connection
 IDLE_TIMEOUT_S = 10.0      # a connection that makes no progress for this long is closed
@@ -295,9 +299,14 @@ class Orchestrator:
         if not isinstance(spec, ExperimentSpec):
             spec = ExperimentSpec.from_json(spec)
         # checked here, not in ExperimentSpec, so a log holding one still replays
-        if spec.trigger is not None and reads_orbital_state(spec.binding().expr):
-            raise BadSpec(f"{spec.id}: trigger reads visible_sats, which no agent "
-                          "can evaluate without orbital state")
+        if spec.trigger is not None:
+            expr = spec.binding().expr
+            if node_count(expr) > MAX_TRIGGER_NODES:
+                raise BadSpec(f"{spec.id}: trigger has more than {MAX_TRIGGER_NODES} "
+                              "nodes, deeper than an agent evaluates safely")
+            if reads_orbital_state(expr):
+                raise BadSpec(f"{spec.id}: trigger reads visible_sats, which no agent "
+                              "can evaluate without orbital state")
         with self._lock:
             if spec.id in self._experiments:
                 raise DuplicateExperiment(f"experiment id {spec.id!r} already exists")

@@ -17,6 +17,18 @@ consumption-tracking code downstream has the same artifacts to deal with as
 against real hardware. Everything is driven by a single seeded RNG: one seed
 gives one bit-identical stream.
 
+Each step draws, in this order: the latency noise, the azimuth and the
+elevation step, the ordinary and the edge drop rate, the outage test, and an
+outage length when one starts. Each handover draws the bad-handover test
+and, for a new spike, its multiplier and then its geometric quanta count.
+A uniform(a, b) draw is a + (b - a) * random() and a normal(0, s) draw is
+0 + s * standard_normal(): the primitives numpy's Generator.uniform and
+Generator.normal reduce to, so the stream is the one those methods give.
+The serving satellite's orbit constants are taken once, when a handover
+changes it. Each step hands its time to `orbital`'s position formula as
+integer microseconds (the step's ms x 1000), and takes each range as the
+BLAS dot `np.linalg.norm` uses.
+
 Facts of the measured system take one value each, so they are module
 constants: 15 s reconfiguration quanta (HANDOVER_PERIOD_MS), a 1 s counter
 lag, 2-5 s outages, a gateway 600 km poleward, and the path. PoP latency
@@ -52,7 +64,8 @@ from .orbital import (
     EARTH_RADIUS_KM,
     GroundSite,
     TleRecord,
-    propagate,
+    _ecef_km,
+    _orbit,
     synthetic_constellation,
     visible_sats,
 )
@@ -83,6 +96,7 @@ ACCEPT_RETRY_S = 0.1   # pause in accepting after an accept error such as EMFILE
 # |N(0, s)| has median 0.6745*s; dividing by it makes DRIFT_RATE_DEG_PER_S the
 # median per-second orientation step.
 _MEDIAN_ABS_NORMAL = 0.6745
+_DRIFT_SIGMA = DRIFT_RATE_DEG_PER_S / _MEDIAN_ABS_NORMAL
 
 log = logging.getLogger(__name__)
 
@@ -217,6 +231,8 @@ class TerminalSim:
         self.site = site or GroundSite(*DEFAULT_SITE)
         self._catalog = catalog
         self._rng = np.random.default_rng(self.config.rng_seed)
+        self._random = self._rng.random
+        self._standard_normal = self._rng.standard_normal
 
         gw_lat = self.site.latitude_deg + math.degrees(
             GATEWAY_GROUND_KM / EARTH_RADIUS_KM)
@@ -230,6 +246,8 @@ class TerminalSim:
         self._next_handover_ms = 0
         self._handover_index = -1
         self._serving: TleRecord | None = None
+        self._serving_orbit = None       # orbital._Orbit of _serving
+        self._by_name: dict[str, TleRecord] | None = None
         self._spike: SpikeEvent | None = None
         self._prev_in_spike = False
         self._outage_until_ms = -1
@@ -293,18 +311,22 @@ class TerminalSim:
         t = datetime.fromtimestamp(t_ms / 1000.0, tz=timezone.utc)
         vis = visible_sats(self.site, self._catalog, t)
         if vis:
-            by_name = {r.name: r for r in self._catalog}
-            chosen = by_name[vis[0].sat_id]
+            if self._by_name is None:
+                self._by_name = {r.name: r for r in self._catalog}
+            chosen = self._by_name[vis[0].sat_id]
             if self._serving is None or chosen.name != self._serving.name:
                 self._serving = chosen
+                self._serving_orbit = _orbit(chosen)
                 self.handover_log.append((t_ms, chosen.name))
         # when nothing clears the mask, hold the previous lock
 
     def _bent_pipe_rtt_ms(self, t_ms: int) -> float:
-        t = datetime.fromtimestamp(t_ms / 1000.0, tz=timezone.utc)
-        pos = propagate(self._serving, t)
-        d_user = float(np.linalg.norm(pos - self._site_ecef))
-        d_gw = float(np.linalg.norm(pos - self._gateway_ecef))
+        pos = _ecef_km(self._serving_orbit, t_ms * 1000)
+        # the BLAS dot np.linalg.norm takes; a scalar sum rounds differently
+        d = pos - self._site_ecef
+        d_user = math.sqrt(np.dot(d, d))
+        d = pos - self._gateway_ecef
+        d_gw = math.sqrt(np.dot(d, d))
         return 2.0 * (d_user + d_gw) / SPEED_OF_LIGHT_KM_S * 1000.0
 
     # -- stepping ---------------------------------------------------------
@@ -313,10 +335,11 @@ class TerminalSim:
         cfg = self.config
         self._handover_index += 1
         self._reselect(boundary_ms)
-        bad_draw = self._rng.random()
+        bad_draw = self._random()
         bad = bad_draw < cfg.p_bad_handover or self._handover_index in cfg.forced_bad_handovers
         if bad and self._spike is None:
-            mult = float(self._rng.uniform(*cfg.spike_multiplier))
+            lo, hi = cfg.spike_multiplier
+            mult = lo + (hi - lo) * self._random()
             quanta = int(self._rng.geometric(1.0 / cfg.spike_duration_quanta))
             spike = SpikeEvent(
                 start_ms=boundary_ms,
@@ -348,19 +371,19 @@ class TerminalSim:
             self._next_handover_ms += HANDOVER_PERIOD_MS
 
         # fixed per-step draw order keeps the stream seed-deterministic
-        noise = float(self._rng.uniform(-cfg.noise_ms, cfg.noise_ms))
-        sigma = DRIFT_RATE_DEG_PER_S / _MEDIAN_ABS_NORMAL
-        az_step = float(self._rng.normal(0.0, sigma))
-        el_step = float(self._rng.normal(0.0, sigma))
-        drop_draw = float(self._rng.uniform(0.0, BASE_DROP_RATE))
-        edge_draw = float(self._rng.uniform(*EDGE_DROP_RATE))
-        outage_draw = float(self._rng.random())
+        random, standard_normal = self._random, self._standard_normal
+        noise = -cfg.noise_ms + (cfg.noise_ms - -cfg.noise_ms) * random()
+        az_step = 0.0 + _DRIFT_SIGMA * standard_normal()
+        el_step = 0.0 + _DRIFT_SIGMA * standard_normal()
+        drop_draw = 0.0 + (BASE_DROP_RATE - 0.0) * random()
+        edge_draw = EDGE_DROP_RATE[0] + (EDGE_DROP_RATE[1] - EDGE_DROP_RATE[0]) * random()
+        outage_draw = random()
 
         self._az = _reflect(self._az + az_step, *AZ_BAND)
         self._el = _reflect(self._el + el_step, *EL_BAND)
 
         if self._outage_until_ms < now_ms and outage_draw < cfg.p_outage_per_s:
-            dur = float(self._rng.uniform(*OUTAGE_DURATION_S))
+            dur = OUTAGE_DURATION_S[0] + (OUTAGE_DURATION_S[1] - OUTAGE_DURATION_S[0]) * random()
             self._outage_until_ms = now_ms + int(dur * 1000)
 
         in_spike = self._spike is not None and self._spike.start_ms <= now_ms < self._spike.end_ms

@@ -24,6 +24,12 @@ clean history. `weather` parses but its provider is a stub, so any
 expression touching it evaluates to INSUFFICIENT_HISTORY. `visible_sats`
 needs an OrbitalContext, which no agent holds, so the orchestrator refuses
 at submit a trigger that `reads_orbital_state`.
+
+The parser, evaluator and printer recurse once per tree level. The parser
+refuses more than MAX_TRIGGER_NESTING NOTs and parentheses open at once,
+and the orchestrator refuses at submit a tree of more than its own node
+bound (`node_count`), so an accepted tree stays far inside the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ SAMPLE_METRICS = tuple(METRIC_GETTERS)
 PROVIDER_METRICS = ("weather",)
 
 RELOPS = (">=", "<=", "==", "!=", ">", "<")
+
+# NOTs and parentheses open at once; each costs the parser up to three
+# frames, so this keeps a parse far inside the default recursion limit
+MAX_TRIGGER_NESTING = 64
 
 
 # --- AST -----------------------------------------------------------------
@@ -153,6 +163,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0   # NOTs and parentheses open at the current token
 
     def _peek(self) -> _Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -201,14 +212,20 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise TriggerSyntaxError("unexpected end of expression", len(self.text))
-        if tok.kind == "name" and tok.text.lower() == "not":
+        is_not = tok.kind == "name" and tok.text.lower() == "not"
+        if is_not or tok.text == "(":
             self.i += 1
-            return Not(self._cmp())
-        if tok.text == "(":
-            self.i += 1
-            inner = self._or()
-            self._expect(")")
-            return inner
+            self.depth += 1
+            if self.depth > MAX_TRIGGER_NESTING:
+                raise TriggerSyntaxError(
+                    f"more than {MAX_TRIGGER_NESTING} NOTs and parentheses nested", tok.pos)
+            if is_not:
+                node = Not(self._cmp())
+            else:
+                node = self._or()
+                self._expect(")")
+            self.depth -= 1
+            return node
         left = self._term()
         op_tok = self._peek()
         if op_tok is None or op_tok.text not in RELOPS:
@@ -319,20 +336,28 @@ def _pretty_operand(expr: Expr) -> str:
     return pretty(expr)
 
 
-def reads_orbital_state(expr: Expr) -> bool:
-    """Whether `expr` holds a VisibleSatsMetric anywhere. Walks with a
-    stack, not recursion: the parser builds AND/OR and +/- chains in loops,
-    so a long chain nests deeper than the interpreter's recursion limit."""
+def _nodes(expr: Expr):
+    """Every node of `expr`. Walks with a stack, not recursion: the parser
+    builds AND/OR and +/- chains in loops, so a chain that is still to be
+    counted and refused may nest deeper than the recursion limit."""
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, VisibleSatsMetric):
-            return True
+        yield node
         if isinstance(node, Not):
             stack.append(node.operand)
         elif isinstance(node, (Arith, Compare, BoolOp)):
             stack += (node.left, node.right)
-    return False
+
+
+def reads_orbital_state(expr: Expr) -> bool:
+    """Whether `expr` holds a VisibleSatsMetric anywhere."""
+    return any(isinstance(node, VisibleSatsMetric) for node in _nodes(expr))
+
+
+def node_count(expr: Expr) -> int:
+    """The number of nodes in `expr`, which bounds its depth."""
+    return sum(1 for _ in _nodes(expr))
 
 
 # --- evaluation ----------------------------------------------------------
@@ -439,9 +464,11 @@ class TriggerBinding:
 
 @dataclass
 class BindingState:
-    """Mutable firing history enforcing cooldown and the daily budget."""
+    """Mutable firing history enforcing cooldown and the daily budget. A
+    disabled binding is no longer evaluated: its expression raised."""
     binding: TriggerBinding
     fire_times_ms: list = field(default_factory=list)
+    disabled: bool = False
 
     def can_fire(self, now_ms: int) -> bool:
         if self.fire_times_ms:

@@ -249,6 +249,24 @@ def test_no_fires_without_spikes(tmp_path):
     assert [r for r in agent.local_runs() if r.spec.id == "spike"] == []
 
 
+def test_a_trigger_that_raises_is_disabled_and_the_tick_goes_on(tmp_path, caplog):
+    """A 2000-term chain, as a log written before SUBMIT bounded trigger size
+    may hold, overflows the evaluator's recursion on every tick."""
+    chain = trigger_spec("chain", "+".join(["latency_ms"] * 2000) + " > 0")
+    log_path = tmp_path / "orch.jsonl"
+    log_path.write_text(json.dumps({"n": 1, "op": "submit", "spec": chain}) + "\n")
+    clock, orch, store, sim, agent = make_rig(
+        tmp_path, sim_config=spiky_config([2]), orch_kwargs={"log_path": log_path})
+    orch.submit_experiment(trigger_spec("spike", SPIKE_EXPR, max_runtime_s=5))
+    with caplog.at_level(logging.ERROR, logger="leobench.agent"):
+        drive(agent, clock, 60)
+    assert [r.message for r in caplog.records] == [
+        "agent n1: trigger of chain raised; binding disabled"]
+    assert "RecursionError" in caplog.text
+    assert [r.spec.id for r in agent.local_runs()] == ["spike"]
+    assert agent.local_runs()[0].state == "COMPLETED"
+
+
 def test_two_overhead_triggers_one_runs_one_deferred(tmp_path):
     clock, orch, store, sim, agent = make_rig(
         tmp_path, sim_config=spiky_config([3]))

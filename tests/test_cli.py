@@ -1,11 +1,17 @@
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leobench
 from leobench import dissect
 from leobench.agent import traceroute_hops
 from leobench.cli import CliError, build_parser, load_config, main
@@ -475,6 +481,32 @@ def test_orchestrate_on_an_existing_log_carries_on(tmp_path, capsys):
     assert state["nodes"] == {"n1": 999}
     numbers = [json.loads(line)["n"] for line in log.read_text().splitlines()]
     assert numbers == [1, 2, 3]
+
+
+def test_agent_exits_promptly_on_sigint(served, tmp_path):
+    _, port = served
+    (tmp_path / "store").mkdir()
+    (tmp_path / "agent").mkdir()
+    src = str(Path(leobench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from leobench.cli import main; sys.exit(main())",
+         "agent", "--node-id", "n1", "--orchestrator", f"127.0.0.1:{port}",
+         "--workdir", str(tmp_path / "agent"), "--store-root", str(tmp_path / "store"),
+         "--duration-s", "30"],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert json.loads(proc.stdout.readline())["agent"] == "n1"   # running
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        rc = proc.wait(timeout=10)
+        waited = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert rc == 0 and waited < 2.0
 
 
 def test_terminal_sim_announces_port(tmp_path, capsys):

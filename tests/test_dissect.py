@@ -1,9 +1,15 @@
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leobench import dissect
 from leobench.dissect import (
+    SPIKE_BASELINE_WINDOW_S,
     EmptyInput,
     SegmentMap,
     SegmentRule,
@@ -203,6 +209,55 @@ def test_spike_detection_scale_invariant():
 def test_spike_series_too_short():
     with pytest.raises(ValueError):
         detect_spikes([35.0] * 59, 2.0, 5)
+
+
+class BaselineProbe(float):
+    """A k_mult that keeps the baseline `detect_spikes` multiplies it by."""
+
+    def __mul__(self, other):
+        self.baseline = np.array(other, copy=True)
+        return float(self) * other
+
+
+W = SPIKE_BASELINE_WINDOW_S
+
+
+def per_window_medians(arr):
+    return np.array([np.median(arr[max(0, i - W + 1):i + 1]) for i in range(len(arr))])
+
+
+SERIES = st.one_of(
+    st.lists(st.integers(0, 4).map(float), min_size=60, max_size=3 * W + 5),  # ties
+    st.lists(st.floats(-1e6, 1e6), min_size=60, max_size=3 * W + 5),
+)
+
+
+@pytest.mark.parametrize("block_elements", [None, W])
+@settings(max_examples=60, deadline=None)
+@given(values=SERIES)
+def test_spike_baseline_equals_per_window_median(block_elements, values):
+    """Bit for bit, with the module's block size and with one window per block."""
+    arr = np.asarray(values)
+    k = BaselineProbe(2.0)
+    if block_elements is None:
+        detect_spikes(arr, k, 5)
+    else:
+        with mock.patch.object(dissect, "_BASELINE_BLOCK_ELEMENTS", block_elements):
+            detect_spikes(arr, k, 5)
+    assert k.baseline.tobytes() == per_window_medians(arr).tobytes()
+
+
+def test_day_long_spike_detection_stays_in_bounded_memory():
+    # unblocked, the 86,281 full windows would be one 83 MB partition copy
+    series = spiky_series(n=86_400, spikes=((50_000, 30, 40.0),))
+    tracemalloc.start()
+    try:
+        spikes = detect_spikes(series, 2.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert [(s.start_s, s.nearest_15s_multiple) for s in spikes] == [(50_000, 30)]
 
 
 # --- orientation heatmap -------------------------------------------------

@@ -15,6 +15,7 @@ from leobench.orbital import (
     MalformedTle,
     StaleEphemeris,
     TleRecord,
+    _tle_checksum,
     gmst_rad,
     load_catalog,
     look_angles,
@@ -169,6 +170,37 @@ def test_earth_fixed_frame_rotates_under_satellite():
     # confirm the two frames disagree by the sidereal offset, not a flip
     assert not np.allclose(eci1, ecef1)
     assert abs(lon0) <= 180 and abs(lon1) <= 180
+
+
+def datetime_reference_propagate(rec, t):
+    """Earth-fixed position with every time difference taken by datetime
+    arithmetic at t, each operation written out in the model's order."""
+    n = rec.mean_motion_rev_per_day * 2.0 * math.pi / 86400.0
+    u = math.radians(rec.arg_perigee_deg + rec.mean_anomaly_deg) \
+        + n * (t - rec.epoch).total_seconds()
+    inc, raan = math.radians(rec.inclination_deg), math.radians(rec.raan_deg)
+    cu, su, ci = math.cos(u), math.sin(u), math.cos(inc)
+    cr, sr = math.cos(raan), math.sin(raan)
+    a = rec.semi_major_axis_km
+    x = a * (cr * cu - sr * su * ci)
+    y = a * (sr * cu + cr * su * ci)
+    z = a * (su * math.sin(inc))
+    du = (t - datetime(2000, 1, 1, 12, tzinfo=timezone.utc)).total_seconds() / 86400.0
+    theta = 2.0 * math.pi * ((0.7790572732640 + 1.00273781191135448 * du) % 1.0)
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array([x * ct + y * st, -x * st + y * ct, z])
+
+
+def test_propagate_equals_datetime_reference_bit_for_bit():
+    name, line1, line2 = fixture_lines()[:3]
+    line1 = line1[:18] + "26010.12345678" + line1[32:68]
+    fractional = parse_tle("\n".join([name, line1 + str(_tle_checksum(line1)), line2]))
+    assert fractional.epoch.microsecond % 1000, "the epoch should fall between milliseconds"
+    rng = np.random.default_rng(11)
+    for rec in load_catalog("\n".join(fixture_lines())) + [fractional, shell_record(37.0, 120.0)]:
+        for us in rng.integers(-6 * 86_400 * 10**6, 6 * 86_400 * 10**6, size=200):
+            t = rec.epoch + timedelta(microseconds=int(us))
+            assert propagate(rec, t).tobytes() == datetime_reference_propagate(rec, t).tobytes()
 
 
 def test_stale_ephemeris_guard():

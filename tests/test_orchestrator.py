@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from leobench import orchestrator
 from leobench.clocks import SimClock
-from leobench.orchestrator import (BadMessage, BadSpec, BadTrigger,
+from leobench.orchestrator import (MAX_TRIGGER_NODES, BadMessage, BadSpec, BadTrigger,
                                    ConflictError, DuplicateExperiment,
                                    ExperimentSpec, LocalClient, Orchestrator,
                                    OrchestratorClient, OrchestratorError,
                                    UnknownNode, UnknownRun, windows_overlap)
+from leobench.triggers import node_count, parse_trigger
 
 NODES = ["n1", "n2", "n3"]
 
@@ -89,10 +90,10 @@ def test_trigger_reading_orbital_state_refused_at_submit(expr):
     assert orch.query() == []
 
 
-@pytest.mark.parametrize("tail,kind", [("", None), (" + visible_sats(25)", "BadSpec")])
+@pytest.mark.parametrize("tail,kind", [("", "BadSpec"), (" + visible_sats(25)", "BadSpec")])
 def test_long_trigger_chain_gets_a_reply(tail, kind):
     """The parser builds a +/- chain in a loop, so 2000 terms nest deeper
-    than the recursion limit; the orbital-state check still answers."""
+    than the recursion limit; SUBMIT still counts the nodes and refuses."""
     orch = make_orch()
     expr = "+".join(["1"] * 2000) + tail + " > 0"
     spec = make_spec("long", trigger={"trigger": expr, "max_runtime_s": 10})
@@ -101,6 +102,33 @@ def test_long_trigger_chain_gets_a_reply(tail, kind):
     wire = json.loads(orch._answer(json.dumps(
         {"type": "SUBMIT", "spec": dict(spec.to_json(), id="wire")}).encode()))
     assert (wire.get("error") or {}).get("kind") == kind, wire
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 1500 + "latency_ms > 5" + ")" * 1500,
+    "not " * 1500 + "latency_ms > 5",
+], ids=["parentheses", "nots"])
+def test_deeply_nested_trigger_gets_a_bad_trigger_reply(expr):
+    orch = make_orch()
+    spec = {"id": "deep", "kind": "PING", "overhead": "NO_OVERHEAD", "clients": ["n1"],
+            "schedule": {"trigger": {"trigger": expr, "max_runtime_s": 10}}}
+    reply = orch.handle_message({"type": "SUBMIT", "spec": spec})
+    assert reply["error"]["kind"] == "BadTrigger", reply
+    wire = json.loads(orch._answer(json.dumps({"type": "SUBMIT", "spec": spec}).encode()))
+    assert wire["error"]["kind"] == "BadTrigger", wire
+    assert orch.query() == []
+
+
+def test_trigger_node_bound_at_submit():
+    def chain(terms):   # 2 * terms + 1 nodes
+        return {"trigger": "+".join(["latency_ms"] * terms) + " > 0", "max_runtime_s": 10}
+    orch = make_orch()
+    most = (MAX_TRIGGER_NODES - 1) // 2
+    assert node_count(parse_trigger(chain(most)["trigger"])) <= MAX_TRIGGER_NODES
+    orch.submit_experiment(make_spec("most", trigger=chain(most)))
+    with pytest.raises(BadSpec, match="nodes"):
+        orch.submit_experiment(make_spec("over", trigger=chain(most + 1)))
+    assert [e["id"] for e in orch.query()] == ["most"]
 
 
 def test_bad_trigger_rejected_at_parse():

@@ -2,10 +2,12 @@ import errno
 import json
 import socket
 import threading
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
+from leobench.orbital import StaleEphemeris, load_catalog, propagate, synthetic_constellation
 from leobench.terminal_sim import (
     AZ_BAND,
     BASE_DROP_RATE,
@@ -13,6 +15,8 @@ from leobench.terminal_sim import (
     EDGE_DROP_RATE,
     EL_BAND,
     HEADER_OVERHEAD_FRAC,
+    OUTAGE_DURATION_S,
+    SPEED_OF_LIGHT_KM_S,
     WIRE_KEYS,
     ClockRegression,
     OverlapRejected,
@@ -258,6 +262,80 @@ def test_outage_hides_latency_keeps_counters():
             s.latency()
     actives = [s for s in samples if s.state == "ACTIVE"]
     assert all(s.pop_latency_ms > 0 for s in actives)
+
+
+# --- draws and geometry against their references -------------------------
+
+def test_draw_formulas_equal_generator_methods():
+    """The terminal draws uniform(a, b) as a + (b - a) * random() and
+    normal(0, s) as 0 + s * standard_normal(): the primitives numpy's own
+    methods reduce to, so both consume the generator alike, draw for draw."""
+    cfg = TerminalModelConfig()
+    bounds = [(-cfg.noise_ms, cfg.noise_ms), (0.0, BASE_DROP_RATE), EDGE_DROP_RATE,
+              OUTAGE_DURATION_S, cfg.spike_multiplier]
+    sigmas = [DRIFT_RATE_DEG_PER_S / 0.6745, 1.0, 37.5]
+    methods, formulas = np.random.default_rng(7), np.random.default_rng(7)
+    want, got = [], []
+    for i in range(100_000):
+        a, b = bounds[i % len(bounds)]
+        s = sigmas[i % len(sigmas)]
+        want += [methods.uniform(a, b), methods.normal(0.0, s)]
+        got += [a + (b - a) * formulas.random(), 0.0 + s * formulas.standard_normal()]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class PropagateReferenceSim(TerminalSim):
+    """Takes each step's bent-pipe RTT through a datetime, `propagate` and
+    `np.linalg.norm`."""
+
+    def _bent_pipe_rtt_ms(self, t_ms):
+        t = datetime.fromtimestamp(t_ms / 1000.0, tz=timezone.utc)
+        pos = propagate(self._serving, t)
+        d_user = float(np.linalg.norm(pos - self._site_ecef))
+        d_gw = float(np.linalg.norm(pos - self._gateway_ecef))
+        return 2.0 * (d_user + d_gw) / SPEED_OF_LIGHT_KM_S * 1000.0
+
+
+def tle_text(catalog, epoch_field):
+    """`catalog` as 3-line TLE text, every entry at the epoch field given."""
+    def with_checksum(line):
+        return line + str(sum(int(c) if c.isdigit() else c == "-" for c in line) % 10)
+    out = []
+    for i, r in enumerate(catalog):
+        num = 10000 + i
+        out += [r.name,
+                with_checksum(f"1 {num:05d}U 26001A   {epoch_field}"
+                              "  .00000000  00000-0  00000-0 0  999"),
+                with_checksum(f"2 {num:05d} {r.inclination_deg:8.4f} {r.raan_deg:8.4f} 0000000 "
+                              f"{r.arg_perigee_deg:8.4f} {r.mean_anomaly_deg:8.4f} "
+                              f"{r.mean_motion_rev_per_day:11.8f}00001")]
+    return "\n".join(out)
+
+
+def test_geometry_equals_propagate_reference_on_a_parsed_catalog():
+    catalog = load_catalog(tle_text(synthetic_constellation(), "26001.12345678"))
+    epoch = catalog[0].epoch
+    assert epoch.microsecond % 1000, "the epoch should fall between milliseconds"
+    cfg = TerminalModelConfig(rng_seed=21, p_bad_handover=0.1, p_outage_per_s=0.01)
+    sim = TerminalSim(cfg, catalog=catalog)
+    ref = PropagateReferenceSim(cfg, catalog=catalog)
+    now = int(epoch.timestamp() * 1000) + 12_345
+    for gap in np.random.default_rng(3).integers(1, 2500, size=1500):   # irregular cadence
+        now += int(gap)
+        assert sim.step(now) == ref.step(now)
+    assert len(sim.handover_log) > 1 and sim.spike_log
+    assert (sim.handover_log, sim.spike_log) == (ref.handover_log, ref.spike_log)
+
+
+@pytest.mark.parametrize("cls", [TerminalSim, PropagateReferenceSim])
+def test_stale_ephemeris_raised_at_the_first_step_past_seven_days(cls):
+    epoch = datetime(2026, 1, 1, tzinfo=timezone.utc)
+    limit_ms = int((epoch + timedelta(days=7)).timestamp()) * 1000
+    sim = cls(TerminalModelConfig(rng_seed=4), catalog=synthetic_constellation(epoch))
+    for k in range(6):   # the last of these is exactly 7 days from epoch
+        sim.step(limit_ms - 5000 + k * 1000)
+    with pytest.raises(StaleEphemeris):
+        sim.step(limit_ms + 1)
 
 
 # --- feed server ---------------------------------------------------------

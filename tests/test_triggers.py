@@ -5,6 +5,7 @@ from leobench.orbital import GroundSite, synthetic_constellation, visible_sats
 from leobench.telemetry import TelemetryWindow
 from leobench.terminal_sim import TelemetrySample
 from leobench.triggers import (
+    MAX_TRIGGER_NESTING,
     Arith,
     BindingState,
     BoolOp,
@@ -65,6 +66,17 @@ def test_syntax_errors_carry_position():
         parse_trigger("latency_ms > 5 loss_rate < 1")  # trailing input
     with pytest.raises(TriggerSyntaxError):
         parse_trigger("(latency_ms > 5")  # unclosed paren
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("NOT ", ""), ("NOT (", ")")])
+def test_nesting_past_the_bound_is_a_syntax_error(opener, closer):
+    def nested(levels):
+        return opener * levels + "latency_ms > 5" + closer * levels
+    parse_trigger(nested(MAX_TRIGGER_NESTING // len(opener.split())))
+    with pytest.raises(TriggerSyntaxError, match="nested"):
+        parse_trigger(nested(MAX_TRIGGER_NESTING + 1))
+    with pytest.raises(TriggerSyntaxError, match="nested"):
+        parse_trigger(nested(1500))   # past the recursion limit, before the bound
 
 
 def test_type_rules():
