@@ -101,6 +101,9 @@ ACCOUNTING_FACTOR = (1.0 + HEADER_OVERHEAD_FRAC) * (1.0 + UPLINK_SHARE)
 UPLOAD_BACKOFF_S = (1.0, 2.0, 5.0, 10.0, 30.0)
 
 FEED_CONNECT_TIMEOUT_S = 10.0
+# a telemetry line is a few hundred bytes; a longer one is skipped unread,
+# so the feed reader never holds more than this much of one line
+MAX_FEED_LINE_BYTES = 64 * 1024
 
 
 class IllegalTransition(RuntimeError):
@@ -193,7 +196,12 @@ class SocketSource:
     def _read_loop(self) -> None:
         try:
             with self._sock.makefile("rb") as fh:
-                for raw in fh:
+                while raw := fh.readline(MAX_FEED_LINE_BYTES + 1):
+                    if len(raw) > MAX_FEED_LINE_BYTES and not raw.endswith(b"\n"):
+                        while raw and not raw.endswith(b"\n"):
+                            raw = fh.readline(MAX_FEED_LINE_BYTES + 1)
+                        log.warning("feed: skipped a line over %d bytes", MAX_FEED_LINE_BYTES)
+                        continue
                     if not raw.strip():
                         continue
                     try:   # UnicodeDecodeError is a ValueError; RecursionError: nested too deep

@@ -29,9 +29,11 @@ The event loop's fast paths rely on four invariants:
     after the event that schedules it;
   * a LinkProfile's columns are read-only after construction, so the
     plain-float copies that `LinkProfile.at` and `LinkProfile.segment`
-    search stay in step with them, and the event loop may keep the last
-    `(lo, hi, row)` segment it looked up and skip the lookup while the
-    time stays inside it;
+    search stay in step with them, and the event loop may keep a looked-up
+    `(lo, hi, row)` segment and skip the lookup while the time stays
+    inside it. It keeps two: one for send times and one for service
+    starts behind a busy queue, as each of the two times moves forward
+    on its own;
   * a controller's published `cwnd_bytes` and `pacing_bps` change only
     inside its `__init__`, `on_ack` and `on_loss`, which store
     `window_bytes()` and `pacing_rate_bps()`, so the loop reads them as
@@ -40,6 +42,10 @@ The event loop's fast paths rely on four invariants:
     two formulas changed (BBR also on every round-trip end): the formulas
     read controller state alone, so an ack that changed none of it leaves
     the stored values equal to what a publish would store.
+
+The loop hands a controller each ack's sample as the arguments of
+`on_ack(now_ms, rtt_ms, bw_sample_bps, round_trip_end, round_acked,
+round_lost, inflight_bytes)`, with no record built per ack.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 
 import numpy as np
 
@@ -221,17 +227,6 @@ def _smoothed_rtt(srtt_ms: float, rtt_ms: float) -> float:
     return rtt_ms if srtt_ms == 0 else 0.875 * srtt_ms + 0.125 * rtt_ms
 
 
-@dataclass(slots=True)
-class AckInfo:
-    now_ms: float
-    rtt_ms: float
-    bw_sample_bps: float       # delivery-rate sample
-    round_trip_end: bool
-    round_acked: int           # defined only when round_trip_end
-    round_lost: int
-    inflight_bytes: int
-
-
 class BaseCc:
     """Interface the event loop drives. Implementations keep their own
     state machines and expose pacing rate, window limits and srtt.
@@ -251,7 +246,13 @@ class BaseCc:
         self.cwnd_bytes = self.window_bytes(now_ms)
         self.pacing_bps = self.pacing_rate_bps(now_ms)
 
-    def on_ack(self, info: AckInfo) -> None:
+    def on_ack(self, now_ms: float, rtt_ms: float, bw_sample_bps: float,
+               round_trip_end: bool, round_acked: int, round_lost: int,
+               inflight_bytes: int) -> None:
+        """One ack's sample: `bw_sample_bps` is its delivery rate (0 when
+        none could be taken), and `round_acked` and `round_lost` count the
+        round trip that ended, so they are defined only when
+        `round_trip_end`."""
         raise NotImplementedError
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
@@ -264,11 +265,16 @@ class BaseCc:
         raise NotImplementedError
 
 
+# BBR's modes as module names for its per-ack paths, where each read of a
+# class attribute through self costs a lookup the module name does not
+_STARTUP, _DRAIN, _PROBE_BW, _PROBE_RTT = "STARTUP", "DRAIN", "PROBE_BW", "PROBE_RTT"
+
+
 class Bbr2Lite(BaseCc):
-    STARTUP = "STARTUP"
-    DRAIN = "DRAIN"
-    PROBE_BW = "PROBE_BW"
-    PROBE_RTT = "PROBE_RTT"
+    STARTUP = _STARTUP
+    DRAIN = _DRAIN
+    PROBE_BW = _PROBE_BW
+    PROBE_RTT = _PROBE_RTT
 
     STARTUP_GAIN = 2.885
     CYCLE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -311,8 +317,9 @@ class Bbr2Lite(BaseCc):
         samples = self._bw_samples
         while samples and samples[-1][1] <= bw:
             samples.pop()
-        samples.append((self._round, bw))
-        cutoff = self._round - self.BW_FILTER_ROUNDS
+        rnd = self._round
+        samples.append((rnd, bw))
+        cutoff = rnd - self.BW_FILTER_ROUNDS
         while samples[0][0] <= cutoff:
             samples.popleft()
         self.btl_bw = samples[0][1]
@@ -322,62 +329,66 @@ class Bbr2Lite(BaseCc):
             return 10 * MSS_BYTES
         return self.btl_bw * self.min_rtt_ms / 1000.0 / 8.0
 
-    def on_ack(self, info: AckInfo) -> None:
+    def on_ack(self, now_ms: float, rtt_ms: float, bw_sample_bps: float,
+               round_trip_end: bool, round_acked: int, round_lost: int,
+               inflight_bytes: int) -> None:
         # `changed` is set wherever an input of the two formulas (mode,
         # btl_bw, min_rtt_ms, inflight_hi, cycle_idx, probing_paused) may
-        # have moved; an ack that moved none of them publishes nothing
-        now = info.now_ms
-        changed = info.rtt_ms < self.min_rtt_ms
+        # have moved; an ack that moved none of them publishes nothing.
+        # `mode` and `srtt` are local copies of self.mode and self.srtt_ms;
+        # `mode` is assigned with self.mode wherever it is read again
+        mode = self.mode
+        changed = rtt_ms < self.min_rtt_ms
         if changed:
-            self.min_rtt_ms = info.rtt_ms
-        self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
-        if info.bw_sample_bps > 0:
+            self.min_rtt_ms = rtt_ms
+        srtt = self.srtt_ms = _smoothed_rtt(self.srtt_ms, rtt_ms)
+        if bw_sample_bps > 0:
             btl_bw = self.btl_bw
-            self._update_bw(info.bw_sample_bps)
+            self._update_bw(bw_sample_bps)
             if self.btl_bw != btl_bw:
                 changed = True
         if self._probe_rtt_due_ms is None:
-            self._probe_rtt_due_ms = now + self.params.probe_rtt_win_ms
+            self._probe_rtt_due_ms = now_ms + self.params.probe_rtt_win_ms
 
-        if self.mode == self.PROBE_RTT:
-            self._probe_rtt_min = min(self._probe_rtt_min, info.rtt_ms)
-            if now >= self._probe_rtt_exit_ms:
+        if mode == _PROBE_RTT:
+            self._probe_rtt_min = min(self._probe_rtt_min, rtt_ms)
+            if now_ms >= self._probe_rtt_exit_ms:
                 self.min_rtt_ms = self._probe_rtt_min
-                self.mode = self._mode_before_probe
-                if self.mode == self.PROBE_BW:
+                mode = self.mode = self._mode_before_probe
+                if mode == _PROBE_BW:
                     self.cycle_idx = 2  # resume cruising
                 changed = True
-        elif now >= self._probe_rtt_due_ms:
-            self.probe_rtt_entries.append((now, self.srtt_ms))
-            self._probe_rtt_due_ms = now + self.params.probe_rtt_win_ms
-            self._mode_before_probe = self.mode if self.mode != self.DRAIN else self.PROBE_BW
-            self.mode = self.PROBE_RTT
-            self._probe_rtt_min = info.rtt_ms
-            self._probe_rtt_exit_ms = now + max(self.PROBE_RTT_MIN_MS, self.srtt_ms)
-            self._publish(now)
+        elif now_ms >= self._probe_rtt_due_ms:
+            self.probe_rtt_entries.append((now_ms, srtt))
+            self._probe_rtt_due_ms = now_ms + self.params.probe_rtt_win_ms
+            self._mode_before_probe = mode if mode != _DRAIN else _PROBE_BW
+            self.mode = _PROBE_RTT
+            self._probe_rtt_min = rtt_ms
+            self._probe_rtt_exit_ms = now_ms + max(self.PROBE_RTT_MIN_MS, srtt)
+            self._publish(now_ms)
             return
 
-        if info.round_trip_end:
+        if round_trip_end:
             changed = True
             self._round += 1
             beta = self.params.loss_thresh
-            self._loss_acked += info.round_acked
-            self._loss_lost += info.round_lost
+            self._loss_acked += round_acked
+            self._loss_lost += round_lost
             lossy = None
             if self._loss_acked + self._loss_lost >= self.MIN_LOSS_SAMPLES:
                 rate = self._loss_lost / (self._loss_acked + self._loss_lost)
                 self._loss_acked = 0
                 self._loss_lost = 0
                 lossy = rate > beta
-            if self.mode == self.STARTUP:
+            if mode == _STARTUP:
                 if self.btl_bw >= self.full_bw * 1.25:
                     self.full_bw = self.btl_bw
                     self.full_bw_rounds = 0
                 else:
                     self.full_bw_rounds += 1
                 if self.full_bw_rounds >= 3 or lossy:
-                    self.mode = self.DRAIN
-            elif self.mode == self.PROBE_BW:
+                    mode = self.mode = _DRAIN
+            elif mode == _PROBE_BW:
                 self.cycle_idx = (self.cycle_idx + 1) % len(self.CYCLE_GAINS)
             if lossy is True:
                 self.probing_paused = True
@@ -386,26 +397,26 @@ class Bbr2Lite(BaseCc):
                     4 * MSS_BYTES)
             elif lossy is False:
                 self.probing_paused = False
-            if (not self.probing_paused and self.mode == self.PROBE_BW
+            if (not self.probing_paused and mode == _PROBE_BW
                     and self.CYCLE_GAINS[self.cycle_idx] > 1.0):
                 self.inflight_hi = min(self.inflight_hi * 1.25, 1e12)
 
-        if self.mode == self.DRAIN and info.inflight_bytes <= self._bdp_bytes():
-            self.mode = self.PROBE_BW
+        if mode == _DRAIN and inflight_bytes <= self._bdp_bytes():
+            self.mode = _PROBE_BW
             self.cycle_idx = 2
             changed = True
         if changed:
-            self._publish(now)
+            self._publish(now_ms)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
         pass  # loss feeds back through per-round loss rate; nothing to publish
 
     def _pacing_gain(self) -> float:
-        if self.mode == self.STARTUP:
+        if self.mode == _STARTUP:
             return self.STARTUP_GAIN
-        if self.mode == self.DRAIN:
+        if self.mode == _DRAIN:
             return 1.0 / self.STARTUP_GAIN
-        if self.mode == self.PROBE_RTT:
+        if self.mode == _PROBE_RTT:
             return 1.0
         gain = self.CYCLE_GAINS[self.cycle_idx]
         if self.probing_paused and gain > 1.0:
@@ -419,13 +430,13 @@ class Bbr2Lite(BaseCc):
         return PACING_FLOOR_BPS if PACING_FLOOR_BPS > rate else rate
 
     def window_bytes(self, now_ms: float) -> float:
-        if self.mode == self.PROBE_RTT:
+        if self.mode == _PROBE_RTT:
             return 4 * MSS_BYTES
-        gain = self.STARTUP_GAIN if self.mode in (self.STARTUP, self.DRAIN) else self.CWND_GAIN
+        gain = self.STARTUP_GAIN if self.mode in (_STARTUP, _DRAIN) else self.CWND_GAIN
         cwnd = gain * self._bdp_bytes()
         if 4 * MSS_BYTES > cwnd:
             cwnd = 4 * MSS_BYTES
-        if self.mode == self.PROBE_BW and self.inflight_hi < cwnd:
+        if self.mode == _PROBE_BW and self.inflight_hi < cwnd:
             cwnd = self.inflight_hi
         return cwnd
 
@@ -444,23 +455,25 @@ class CubicLite(BaseCc):
         self._last_cut_ms = -1e12
         self._publish(0.0)
 
-    def on_ack(self, info: AckInfo) -> None:
-        self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
+    def on_ack(self, now_ms: float, rtt_ms: float, bw_sample_bps: float,
+               round_trip_end: bool, round_acked: int, round_lost: int,
+               inflight_bytes: int) -> None:
+        self.srtt_ms = _smoothed_rtt(self.srtt_ms, rtt_ms)
         if self.cwnd_seg < self.ssthresh_seg:
             self.cwnd_seg += 1.0
-            self._publish(info.now_ms)
+            self._publish(now_ms)
             return
         if self.epoch_start_ms is None:
-            self.epoch_start_ms = info.now_ms
+            self.epoch_start_ms = now_ms
             self.w_max = self.cwnd_seg
             self.k_s = 0.0
-        t = (info.now_ms - self.epoch_start_ms) / 1000.0
+        t = (now_ms - self.epoch_start_ms) / 1000.0
         target = self.C * (t - self.k_s) ** 3 + self.w_max
         if target > self.cwnd_seg:
             self.cwnd_seg += (target - self.cwnd_seg) / self.cwnd_seg
         else:
             self.cwnd_seg += 0.01 / self.cwnd_seg
-        self._publish(info.now_ms)
+        self._publish(now_ms)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
         if now_ms - self._last_cut_ms < self.srtt_ms:
@@ -482,13 +495,15 @@ class CubicLite(BaseCc):
 
 
 class RenoLite(CubicLite):
-    def on_ack(self, info: AckInfo) -> None:
-        self.srtt_ms = _smoothed_rtt(self.srtt_ms, info.rtt_ms)
+    def on_ack(self, now_ms: float, rtt_ms: float, bw_sample_bps: float,
+               round_trip_end: bool, round_acked: int, round_lost: int,
+               inflight_bytes: int) -> None:
+        self.srtt_ms = _smoothed_rtt(self.srtt_ms, rtt_ms)
         if self.cwnd_seg < self.ssthresh_seg:
             self.cwnd_seg += 1.0
         else:
             self.cwnd_seg += 1.0 / self.cwnd_seg
-        self._publish(info.now_ms)
+        self._publish(now_ms)
 
     def on_loss(self, now_ms: float, lost_bytes: int) -> None:
         if now_ms - self._last_cut_ms < self.srtt_ms:
@@ -548,6 +563,13 @@ class FlowStats:
 # --- event-loop simulator ------------------------------------------------
 
 class _FlowState:
+    __slots__ = ("id", "cc", "kind", "next_seq", "inflight", "inflight_bytes",
+                 "delivered_bytes", "delivered_time_ms", "next_send_ms",
+                 "send_scheduled", "last_progress_ms", "round_start_delivered",
+                 "round_acked", "round_lost", "injected", "delivered_pkts",
+                 "dropped_pkts", "deliveries", "rtt_times", "rtts",
+                 "loss_marks", "marked_lost")
+
     def __init__(self, flow_id: int, cc: BaseCc, kind: str):
         self.id = flow_id
         self.cc = cc
@@ -581,8 +603,7 @@ def _loss_draws(seed: int):
     at a time: PCG64's `random(n)` gives exactly the doubles of n scalar
     calls, and a draw left over when the run ends changes no output."""
     rng = np.random.default_rng(seed)
-    while True:
-        yield from rng.random(LOSS_DRAW_BLOCK).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(LOSS_DRAW_BLOCK).tolist(), None))
 
 
 def run_flows(flow_specs: list[tuple[str, CcParams | None]],
@@ -606,15 +627,18 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
     buffer_bytes = profile.buffer_bytes
 
     heap: list[tuple[float, int, str, int, int]] = []
-    counter = count()   # tie-break: equal times pop in push order
+    next_key = count().__next__   # tie-break: equal times pop in push order
     # the event an iteration schedules last is held back and handed to the
     # next pop through heappushpop, which pops what a push then a pop would:
-    # keys (t, counter) never tie
+    # keys (t, next_key()) never tie
     held = None
-    # the profile row in effect for seg_lo <= t < seg_hi; empty until the
-    # first send looks one up
-    seg_lo = seg_hi = 0.0
-    row = (0.0, 0.0, 0.0)
+    # the profile row in effect for seg_lo <= t < seg_hi at the last send
+    # time, and svc_row for svc_lo <= t < svc_hi at the last service start
+    # behind a busy queue; each is empty until its first lookup. Both times
+    # are non-decreasing but fall in different rows near a row boundary, so
+    # a span of their own keeps each from evicting the other
+    seg_lo = seg_hi = svc_lo = svc_hi = 0.0
+    row = svc_row = (0.0, 0.0, 0.0)
 
     busy_until = 0.0
 
@@ -628,9 +652,9 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
         f.cc.on_loss(now, MSS_BYTES)
 
     for f in flows:
-        heappush(heap, (0.0, next(counter), "send", f.id, -1))
+        heappush(heap, (0.0, next_key(), "send", f.id, -1))
         f.send_scheduled = True
-        heappush(heap, (250.0, next(counter), "tick", f.id, -1))
+        heappush(heap, (250.0, next_key(), "tick", f.id, -1))
 
     # every branch below that queues f's next send first checks that f has
     # no send queued and that its window has room for one more packet
@@ -673,9 +697,9 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 # service later, an idle one now, whose row is in hand
                 if busy:
                     start = busy_until
-                    if not seg_lo <= start < seg_hi:
-                        seg_lo, seg_hi, row = segment(start)
-                    cap = row[1]
+                    if not svc_lo <= start < svc_hi:
+                        svc_lo, svc_hi, svc_row = segment(start)
+                    cap = svc_row[1]
                 else:
                     start = now
                 deq_t = start + MSS_BITS / cap * 1000.0
@@ -686,14 +710,14 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                     f.dropped_pkts += 1
                 else:
                     f.deliveries.append(deq_t)
-                    held = (deq_t + 2.0 * owd, next(counter), "ack", flow_id, seq_no)
+                    held = (deq_t + 2.0 * owd, next_key(), "ack", flow_id, seq_no)
             t = f.next_send_ms
             t = f.next_send_ms = (t if t > now else now) + MSS_BITS / cc.pacing_bps * 1000.0
             if f.inflight_bytes + MSS_BYTES <= cc.cwnd_bytes:
                 if held is not None:
                     heappush(heap, held)
                 f.send_scheduled = True
-                held = (t if t > now else now, next(counter), "send", flow_id, -1)
+                held = (t if t > now else now, next_key(), "send", flow_id, -1)
 
         elif kind == "ack":
             inflight = f.inflight
@@ -709,23 +733,21 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             sent_ms, delivered_at_send, delivered_time_ms = pkt
             f.inflight_bytes -= MSS_BYTES
             f.delivered_pkts += 1
-            f.delivered_bytes += MSS_BYTES
-            f.delivered_time_ms = now
-            f.last_progress_ms = now
+            delivered = f.delivered_bytes = f.delivered_bytes + MSS_BYTES
+            f.delivered_time_ms = f.last_progress_ms = now
             rtt = now - sent_ms
             f.rtt_times.append(now)
             f.rtts.append(rtt)
             dt = now - delivered_time_ms
-            bw_sample = ((f.delivered_bytes - delivered_at_send) * 8.0
+            bw_sample = ((delivered - delivered_at_send) * 8.0
                          / (dt / 1000.0)) if dt > 0 else 0.0
             round_end = delivered_at_send >= f.round_start_delivered
             f.round_acked += 1
             round_acked = round_lost = 0
             if round_end:
                 round_acked, round_lost = f.round_acked, f.round_lost
-                f.round_start_delivered = f.delivered_bytes
-                f.round_acked = 0
-                f.round_lost = 0
+                f.round_start_delivered = delivered
+                f.round_acked = f.round_lost = 0
             # sequence-gap loss detection ahead of this ack: in-flight keys
             # run in increasing seq, so the stale ones (s < limit) are a prefix
             limit = seq - REORDER_THRESH
@@ -733,12 +755,12 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
                 for s in list(takewhile(limit.__gt__, inflight)):
                     mark_lost(f, s, now)
             cc = f.cc
-            cc.on_ack(AckInfo(now, rtt, bw_sample, round_end, round_acked,
-                              round_lost, f.inflight_bytes))
+            cc.on_ack(now, rtt, bw_sample, round_end, round_acked, round_lost,
+                      f.inflight_bytes)
             if not f.send_scheduled and f.inflight_bytes + MSS_BYTES <= cc.cwnd_bytes:
                 t = f.next_send_ms
                 f.send_scheduled = True
-                held = (t if t > now else now, next(counter), "send", flow_id, -1)
+                held = (t if t > now else now, next_key(), "send", flow_id, -1)
 
         elif kind == "tick":
             cc = f.cc
@@ -753,8 +775,8 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
             if not f.send_scheduled and f.inflight_bytes + MSS_BYTES <= cc.cwnd_bytes:
                 t = f.next_send_ms
                 f.send_scheduled = True
-                heappush(heap, (t if t > now else now, next(counter), "send", flow_id, -1))
-            held = (now + 250.0, next(counter), "tick", flow_id, -1)
+                heappush(heap, (t if t > now else now, next_key(), "send", flow_id, -1))
+            held = (now + 250.0, next_key(), "tick", flow_id, -1)
 
     return [_finalize(f, duration_s) for f in flows]
 
@@ -762,15 +784,15 @@ def run_flows(flow_specs: list[tuple[str, CcParams | None]],
 def _finalize(f: _FlowState, duration_s: int) -> FlowStats:
     edges = np.arange(duration_s + 1) * 1000.0
     if f.deliveries:
-        times = np.array(f.deliveries)
+        times = np.fromiter(f.deliveries, float, len(f.deliveries))
         bits = np.full(len(times), float(MSS_BITS))
         goodput, _ = np.histogram(times, bins=edges, weights=bits)
     else:
         goodput = np.zeros(duration_s)
     srtt_series = np.zeros(duration_s)
     if f.rtts:
-        times = np.array(f.rtt_times)
-        rtts = np.array(f.rtts)
+        times = np.fromiter(f.rtt_times, float, len(f.rtt_times))
+        rtts = np.fromiter(f.rtts, float, len(f.rtts))
         idx = np.clip((times // 1000).astype(int), 0, duration_s - 1)
         # samples are appended in event order, so idx never decreases and
         # each second's samples are one slice, summed in the same order
@@ -781,10 +803,9 @@ def _finalize(f: _FlowState, duration_s: int) -> FlowStats:
             if hi > lo:
                 last = float(rtts[lo:hi].mean())
             srtt_series[s] = last
-    loss_counts = np.zeros(duration_s, dtype=int)
-    for t in f.loss_marks:
-        s = min(int(t // 1000), duration_s - 1)
-        loss_counts[s] += 1
+    loss_s = np.fromiter(f.loss_marks, float, len(f.loss_marks)) // 1000
+    loss_counts = np.bincount(np.minimum(loss_s.astype(int), duration_s - 1),
+                              minlength=duration_s)
     rows = [SecondRow(s, float(goodput[s]), float(srtt_series[s]), int(loss_counts[s]))
             for s in range(duration_s)]
     probe_log = list(getattr(f.cc, "probe_rtt_entries", []))

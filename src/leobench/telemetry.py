@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -64,6 +65,13 @@ class TelemetryWindow:
     def samples(self) -> list[TelemetrySample]:
         return list(self._buf)
 
+    def _tail(self, n: int, skip: int = 0) -> list[TelemetrySample]:
+        """The n samples before the newest `skip`, oldest first. Walks in
+        from the newest end, so it reads n + skip samples, not the ring."""
+        tail = list(islice(reversed(self._buf), skip, skip + n))
+        tail.reverse()
+        return tail
+
     def last_values(self, metric: str, n: int) -> list[float]:
         """Values of `metric` over the last n samples, outage gaps dropped."""
         if metric not in METRIC_GETTERS:
@@ -71,8 +79,7 @@ class TelemetryWindow:
         if len(self._buf) < n:
             raise InsufficientHistory(f"need {n} samples, have {len(self._buf)}")
         getter = METRIC_GETTERS[metric]
-        window = list(self._buf)[-n:]
-        values = [getter(s) for s in window]
+        values = [getter(s) for s in self._tail(n)]
         present = [v for v in values if v is not None]
         if not present:
             raise InsufficientHistory(f"no {metric} values in the last {n} samples")
@@ -98,8 +105,8 @@ class TelemetryWindow:
             raise InsufficientHistory(
                 f"need {n_windows + 1} samples for prior average, have {len(self._buf)}")
         getter = METRIC_GETTERS[metric]
-        window = list(self._buf)[-(n_windows + 1):-1]
-        present = [v for v in (getter(s) for s in window) if v is not None]
+        present = [v for v in (getter(s) for s in self._tail(n_windows, 1))
+                   if v is not None]
         if not present:
             raise InsufficientHistory(f"no {metric} values in the prior {n_windows} windows")
         return float(np.mean(present))

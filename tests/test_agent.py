@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from leobench.agent import (Agent, IllegalTransition, LocalRun, SimSource,
-                            SocketSource, traceroute_hops)
+from leobench.agent import (MAX_FEED_LINE_BYTES, Agent, IllegalTransition, LocalRun,
+                            SimSource, SocketSource, traceroute_hops)
 from leobench.clocks import SimClock, WallClock
 from leobench.orchestrator import ExperimentSpec, LocalClient, Orchestrator
 from leobench.store import ResultsStore, UploadFailure
@@ -753,6 +753,34 @@ def test_socket_source_skips_a_bad_line_and_reads_the_next(bad, caplog):
                 while not caplog.records and time.monotonic() < deadline:
                     time.sleep(0.01)
                 assert "feed: skipped a bad line" in caplog.text
+                assert src.sample(0) is None
+                feed.sendall(json.dumps(GOOD_WIRE).encode() + b"\n")
+                sample = None
+                while sample is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    sample = src.sample(0)
+        assert sample is not None and sample.to_wire() == GOOD_WIRE
+    finally:
+        if src is not None:
+            src.close()
+        listener.close()
+
+
+def test_socket_source_skips_an_over_long_line_and_reads_the_next(caplog):
+    """A valid sample padded past the line limit is dropped, not parsed."""
+    padded = {**GOOD_WIRE, "ts_ms": 3000, "pad": "x" * (10 * MAX_FEED_LINE_BYTES)}
+    listener = socket.create_server(("127.0.0.1", 0))
+    src = None
+    try:
+        with caplog.at_level(logging.WARNING, logger="leobench.agent"):
+            src = SocketSource(*listener.getsockname())
+            feed, _ = listener.accept()
+            with feed:
+                feed.sendall(json.dumps(padded).encode() + b"\n")
+                deadline = time.monotonic() + 5
+                while not caplog.records and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert f"feed: skipped a line over {MAX_FEED_LINE_BYTES} bytes" in caplog.text
                 assert src.sample(0) is None
                 feed.sendall(json.dumps(GOOD_WIRE).encode() + b"\n")
                 sample = None

@@ -16,7 +16,6 @@ from leobench.leolink import (
     LOSS_DRAW_BLOCK,
     MSS_BYTES,
     MSS_BITS,
-    AckInfo,
     Bbr2Lite,
     CcParams,
     EmptyGrid,
@@ -190,9 +189,9 @@ def test_bbr_state_machine_transitions():
     assert cc.mode == Bbr2Lite.STARTUP
 
     def ack(now, bw, inflight, round_end=True):
-        cc.on_ack(AckInfo(now_ms=now, rtt_ms=40.0, bw_sample_bps=bw,
-                          round_trip_end=round_end, round_acked=50,
-                          round_lost=0, inflight_bytes=inflight))
+        cc.on_ack(now_ms=now, rtt_ms=40.0, bw_sample_bps=bw,
+                  round_trip_end=round_end, round_acked=50,
+                  round_lost=0, inflight_bytes=inflight)
 
     ack(40.0, 8e6, 500_000)
     assert cc.mode == Bbr2Lite.STARTUP  # growth still plausible
@@ -340,6 +339,23 @@ def test_shared_bottleneck_total_stays_within_capacity():
     assert np.mean(per_second[5:]) >= 0.7 * 12e6
 
 
+def test_fairness_run_looks_up_each_profile_row_at_most_twice(monkeypatch):
+    """Send times and service starts behind a busy queue each move forward
+    through the rows, so one cached span for each needs about one lookup
+    per row; a single span shared by both flips near every row boundary."""
+    prof = LinkProfile.constant(20.0, 24e6, 0.0, 20)
+    segment = LinkProfile.segment
+    calls = []
+
+    def counted(self, t_ms):
+        calls.append(t_ms)
+        return segment(self, t_ms)
+
+    monkeypatch.setattr(LinkProfile, "segment", counted)
+    fairness(8, 8, CcParams(), prof, 20, [7])
+    assert 0 < len(calls) <= 2 * len(prof)
+
+
 def _jumpy_delay_profile(duration_s: int) -> LinkProfile:
     """One-way delay alternating 40 ms / 10 ms each second: after a drop,
     later packets overtake earlier ones and gap-rule marks turn spurious."""
@@ -378,6 +394,13 @@ GOLDEN_CASES = {
         lambda: ([("bbr2", CcParams(4000.0, 0.08)), ("cubic", None)],
                  _jumpy_delay_profile(10), 3),
         "87f105cf6c3897e6232601992ae5e46def59c81da436ff0d4fad3d264b26885a"),
+    # a shared queue on a changing link: 7 distinct capacities over 12 rows,
+    # so send-time and service-start lookups cross row boundaries; the
+    # digest was recorded on the emulator that kept one cached segment
+    "bbr2x4_cubicx4_shared_spiky": (
+        lambda: ([("bbr2", CcParams(4000.0, 0.08))] * 4 + [("cubic", None)] * 4,
+                 spiky_lossy_profile(10, capacity_bps=6e6, loss=0.03, seed=11), 3),
+        "64225f469ce8882c516b4183c666abb4a9b72518359dadb3123c224d26bc0d76"),
 }
 
 
@@ -473,7 +496,7 @@ def _drive(kind, alpha_ms, ops):
         now += op[1]
         before = cc.cwnd_bytes
         if op[0] == "ack":
-            cc.on_ack(AckInfo(now, *op[2:]))
+            cc.on_ack(now, *op[2:])
         else:
             cc.on_loss(now, MSS_BYTES)
             cuts += cc.cwnd_bytes < before
@@ -537,7 +560,7 @@ def test_bbr_publishes_on_every_path_that_moves_a_formula_input():
     for label, dt, rtt, bw, round_end, inflight in _PUBLISH_PATHS:
         now += dt
         before = (cc.cwnd_bytes, cc.pacing_bps)
-        cc.on_ack(AckInfo(now, rtt, bw, round_end, 50, 0, inflight))
+        cc.on_ack(now, rtt, bw, round_end, 50, 0, inflight)
         assert repr(cc.cwnd_bytes) == repr(cc.window_bytes(now)), label
         assert repr(cc.pacing_bps) == repr(cc.pacing_rate_bps(now)), label
         modes.append(cc.mode)

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobench.telemetry import (
     ConsumptionDelta,
@@ -75,6 +77,52 @@ def test_ring_capacity_and_ordering():
     assert len(w) == 3
     with pytest.raises(ValueError):
         w.push(sample(T0))  # stale timestamp
+
+
+def _list_copy_last_values(w, n):
+    """last_values as it read the ring before: a copy of all of it."""
+    if len(w) < n:
+        raise InsufficientHistory
+    present = [s.pop_latency_ms for s in list(w._buf)[-n:] if s.pop_latency_ms is not None]
+    if not present:
+        raise InsufficientHistory
+    return present
+
+
+def _list_copy_prior_moving_avg(w, n):
+    if len(w) < n + 1:
+        raise InsufficientHistory
+    present = [s.pop_latency_ms for s in list(w._buf)[-(n + 1):-1]
+               if s.pop_latency_ms is not None]
+    if not present:
+        raise InsufficientHistory
+    return float(np.mean(present))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))   # repr tells every float bit apart
+    except InsufficientHistory:
+        return "InsufficientHistory"
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 12),
+       latencies=st.lists(st.one_of(st.none(), st.floats(-1e12, 1e12)), max_size=40),
+       n=st.integers(1, 13))
+def test_tail_reads_equal_the_list_copy(capacity, latencies, n):
+    """The ring's tail, read from the newest end and put back oldest first,
+    gives the values of the whole-ring copy in the same order, so np.mean
+    sums them the same way; wrapped rings and outage gaps included."""
+    w = TelemetryWindow(capacity=capacity)
+    for i, v in enumerate(latencies):
+        w.push(sample(T0 + i * 1000, latency=v, state="ACTIVE" if v is not None else "OUTAGE"))
+    assert (_outcome(w.last_values, "latency_ms", n)
+            == _outcome(_list_copy_last_values, w, n))
+    assert (_outcome(w.moving_avg, "latency_ms", n)
+            == _outcome(lambda: float(np.mean(_list_copy_last_values(w, n)))))
+    assert (_outcome(w.prior_moving_avg, "latency_ms", n)
+            == _outcome(_list_copy_prior_moving_avg, w, n))
 
 
 # --- time-shift estimation ----------------------------------------------
