@@ -396,7 +396,8 @@ GOLDEN_CASES = {
         "87f105cf6c3897e6232601992ae5e46def59c81da436ff0d4fad3d264b26885a"),
     # a shared queue on a changing link: 7 distinct capacities over 12 rows,
     # so send-time and service-start lookups cross row boundaries; the
-    # digest was recorded on the emulator that kept one cached segment
+    # digest was recorded at commit f3f27a4, before the event loop kept a
+    # second cached span
     "bbr2x4_cubicx4_shared_spiky": (
         lambda: ([("bbr2", CcParams(4000.0, 0.08))] * 4 + [("cubic", None)] * 4,
                  spiky_lossy_profile(10, capacity_bps=6e6, loss=0.03, seed=11), 3),
